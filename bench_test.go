@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strconv"
 	"testing"
 	"time"
 
@@ -183,8 +184,8 @@ func BenchmarkScaleoutReplicas(b *testing.B) {
 		b.Run(fmt.Sprintf("replicas=%d", replicas), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res := runMini(b, variant.Modified, func(cfg *harness.Config) {
-					cfg.Replicas = replicas
-					cfg.DBConns = 4
+					cfg.Set["replicas"] = strconv.Itoa(replicas)
+					cfg.Set["dbconns"] = "4"
 				})
 				b.ReportMetric(float64(res.TotalInteractions), "interactions")
 				b.ReportMetric(harness.SeriesMax(res.Series[variant.ProbeDBWait]), "db-waits")
@@ -363,7 +364,7 @@ func BenchmarkAblationSinglePool(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res := runMini(b, variant.Modified, func(cfg *harness.Config) {
 					if !split {
-						cfg.Cutoff = time.Hour // nothing classifies lengthy
+						cfg.Set["cutoff"] = time.Hour.String() // nothing classifies lengthy
 					}
 				})
 				b.ReportMetric(float64(res.TotalInteractions), "interactions")
@@ -381,8 +382,8 @@ func BenchmarkAblationPoolRatio(b *testing.B) {
 		b.Run(fmt.Sprintf("lengthy-%d-of-%d", lengthy, budget), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res := runMini(b, variant.Modified, func(cfg *harness.Config) {
-					cfg.GeneralWorkers = budget - lengthy
-					cfg.LengthyWorkers = lengthy
+					cfg.Set["general"] = strconv.Itoa(budget - lengthy)
+					cfg.Set["lengthy"] = strconv.Itoa(lengthy)
 				})
 				b.ReportMetric(float64(res.TotalInteractions), "interactions")
 				b.ReportMetric(res.Pages[tpcw.PageBestSellers].MeanPaperSec, "bestsellers-sec")
@@ -398,7 +399,7 @@ func BenchmarkAblationCutoff(b *testing.B) {
 		b.Run(cutoff.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res := runMini(b, variant.Modified, func(cfg *harness.Config) {
-					cfg.Cutoff = cutoff
+					cfg.Set["cutoff"] = cutoff.String()
 				})
 				b.ReportMetric(res.Pages[tpcw.PageHome].MeanPaperSec, "home-sec")
 				b.ReportMetric(float64(res.TotalInteractions), "interactions")

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
@@ -194,12 +195,14 @@ func runEngine(mvcc bool, repl string, replicas, shards int, indexes, quick bool
 	if quick {
 		cfg.Measure = 45 * time.Second
 	}
-	cfg.Replicas = replicas
-	cfg.DBConns = 4
-	cfg.MVCC = mvcc
-	cfg.Repl = repl
-	cfg.Shards = shards
-	cfg.Indexes = indexes
+	cfg.Set["replicas"] = strconv.Itoa(replicas)
+	cfg.Set["dbconns"] = "4"
+	cfg.Set["mvcc"] = strconv.FormatBool(mvcc)
+	cfg.Set["repl"] = repl
+	cfg.Set["indexes"] = strconv.FormatBool(indexes)
+	if shards > 0 {
+		cfg.Set["shards"] = strconv.Itoa(shards)
+	}
 
 	var before, after runtime.MemStats
 	runtime.GC()

@@ -76,7 +76,6 @@ func run(args []string, out io.Writer) error {
 		ebsSweep = fs.String("ebs-sweep", "", "comma-separated EB levels (e.g. 100,200,300,400): run the saturation ramp across every variant")
 		replicas = fs.String("replicas", "1,2,4", "comma-separated replica counts swept by -exp scaleout and -exp mvcc (-exp shard uses the first level only)")
 		shards   = fs.String("shards", "1,2,4", "comma-separated shard counts swept by -exp shard")
-		dbConns  = fs.Int("dbconns", 0, "connections per database backend in -exp scaleout, -exp mvcc, and -exp shard (0 = auto: dynamic budget / 6)")
 		parallel = fs.Int("parallel", 1, "concurrent sweep runs (>1 trades timing fidelity for wall time)")
 		sets     variant.SettingsFlag
 		loadSets variant.SettingsFlag
@@ -164,7 +163,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("-replicas: %w", err)
 		}
-		return runScaleout(ctx, out, opts, build, names, levels, *dbConns, *csvDir, *jsonDir)
+		return runScaleout(ctx, out, opts, build, names, levels, *csvDir, *jsonDir)
 	}
 
 	// The cluster sweep is its own mode: one variant behind the
@@ -188,7 +187,7 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-replicas: %w", err)
 		}
 		return runShard(ctx, out, opts, build, names[0], levels, repl[0],
-			*dbConns, loadSets.Settings, *csvDir, *jsonDir)
+			loadSets.Settings, *csvDir, *jsonDir)
 	}
 
 	// The dependability pack is its own mode: one variant on the sharded
@@ -198,7 +197,7 @@ func run(args []string, out io.Writer) error {
 		if len(want) > 1 {
 			return fmt.Errorf("-exp faults is a standalone mode; run other experiments separately")
 		}
-		return runFaults(ctx, out, opts, build, names[0], *dbConns, *csvDir, *jsonDir)
+		return runFaults(ctx, out, opts, build, names[0], *csvDir, *jsonDir)
 	}
 
 	// The storage-engine sweep is its own mode: one variant across
@@ -215,7 +214,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("-replicas: %w", err)
 		}
-		return runMVCC(ctx, out, opts, build, names[0], levels, *dbConns, *csvDir, *jsonDir)
+		return runMVCC(ctx, out, opts, build, names[0], levels, *csvDir, *jsonDir)
 	}
 
 	// The planner sweep is its own mode: one variant under both TPC-W
@@ -228,7 +227,7 @@ func run(args []string, out io.Writer) error {
 		if *mix != "" {
 			return fmt.Errorf("-exp planner sweeps the browsing and ordering mixes itself; drop -mix %s", *mix)
 		}
-		return runPlanner(ctx, out, opts, build, names[0], *dbConns, *csvDir, *jsonDir)
+		return runPlanner(ctx, out, opts, build, names[0], *csvDir, *jsonDir)
 	}
 
 	// The flash-crowd comparison is its own mode (not part of -exp all):
@@ -339,6 +338,25 @@ func runSpike(ctx context.Context, out io.Writer, opts harness.SweepOptions,
 	return errors.Join(sweepErr, writeArtifacts(out, csvDir, jsonDir, sw))
 }
 
+// sizeDBConns sizes the per-backend connection pool of the database-tier
+// sweeps (scaleout, mvcc, planner, shard, faults) unless Set already
+// names one (-set dbconns=K): a sixth of the dynamic-worker budget, at
+// least 2, so connection acquisition (db.wait) and engine capacity, not
+// worker counts, bound throughput. Without staged pool sizes it is 8.
+func sizeDBConns(c *harness.Config) {
+	if _, ok := c.Set["dbconns"]; ok {
+		return
+	}
+	sizes := c.Defaults.Merge(c.Set)
+	general, _ := strconv.Atoi(sizes["general"])
+	lengthy, _ := strconv.Atoi(sizes["lengthy"])
+	n := 8
+	if budget := general + lengthy; budget > 0 {
+		n = max(2, budget/6)
+	}
+	c.Set["dbconns"] = strconv.Itoa(n)
+}
+
 // runScaleout runs every variant at every replica count under the
 // read-heavy browsing mix and the write-heavy ordering mix, with the
 // per-backend connection pool deliberately scarcer than the worker pools
@@ -347,7 +365,7 @@ func runSpike(ctx context.Context, out io.Writer, opts harness.SweepOptions,
 // across backends); ordering throughput pays the synchronous write
 // fan-out on every backend.
 func runScaleout(ctx context.Context, out io.Writer, opts harness.SweepOptions,
-	build func(string) harness.Config, names []string, levels []int, dbConns int,
+	build func(string) harness.Config, names []string, levels []int,
 	csvDir, jsonDir string) error {
 	mixes := []string{"browsing", "ordering"}
 	cellName := func(name, mix string, level int) string {
@@ -359,18 +377,8 @@ func runScaleout(ctx context.Context, out io.Writer, opts harness.SweepOptions,
 			for _, level := range levels {
 				cfg := build(name).With(func(c *harness.Config) {
 					c.Mix = mix
-					c.Replicas = level
-					c.DBConns = dbConns
-					if c.DBConns <= 0 {
-						// Auto: a sixth of the dynamic-worker budget, so
-						// connection acquisition (db.wait) and engine
-						// capacity, not worker counts, bound throughput.
-						if budget := c.GeneralWorkers + c.LengthyWorkers; budget > 0 {
-							c.DBConns = max(2, budget/6)
-						} else {
-							c.DBConns = 8
-						}
-					}
+					c.Set["replicas"] = strconv.Itoa(level)
+					sizeDBConns(c)
 				})
 				scenarios = append(scenarios, harness.Scenario{
 					Name:   cellName(name, mix, level),
@@ -425,12 +433,12 @@ func runScaleout(ctx context.Context, out io.Writer, opts harness.SweepOptions,
 // MVCC with asynchronous log shipping.
 var engineModes = []struct {
 	key  string
-	mvcc bool
+	mvcc string
 	repl string
 }{
-	{"lock/sync", false, "sync"},
-	{"mvcc/sync", true, "sync"},
-	{"mvcc/async", true, "async"},
+	{"lock/sync", "off", "sync"},
+	{"mvcc/sync", "on", "sync"},
+	{"mvcc/async", "on", "async"},
 }
 
 // runMVCC runs one variant across every storage-engine mode, both TPC-W
@@ -441,7 +449,7 @@ var engineModes = []struct {
 // per-replica apply wait. The db.conflicts and db.repllag series in each
 // cell's artifacts show what the engine actually did.
 func runMVCC(ctx context.Context, out io.Writer, opts harness.SweepOptions,
-	build func(string) harness.Config, name string, levels []int, dbConns int,
+	build func(string) harness.Config, name string, levels []int,
 	csvDir, jsonDir string) error {
 	mixes := []string{"browsing", "ordering"}
 	cellName := func(engine, mix string, level int) string {
@@ -454,19 +462,10 @@ func runMVCC(ctx context.Context, out io.Writer, opts harness.SweepOptions,
 				eng := eng
 				cfg := build(name).With(func(c *harness.Config) {
 					c.Mix = mix
-					c.Replicas = level
-					c.MVCC = eng.mvcc
-					c.Repl = eng.repl
-					c.DBConns = dbConns
-					if c.DBConns <= 0 {
-						// Same auto-sizing as -exp scaleout: keep the tier,
-						// not the worker pools, as the ceiling.
-						if budget := c.GeneralWorkers + c.LengthyWorkers; budget > 0 {
-							c.DBConns = max(2, budget/6)
-						} else {
-							c.DBConns = 8
-						}
-					}
+					c.Set["replicas"] = strconv.Itoa(level)
+					c.Set["mvcc"] = eng.mvcc
+					c.Set["repl"] = eng.repl
+					sizeDBConns(c)
 				})
 				scenarios = append(scenarios, harness.Scenario{
 					Name:   cellName(eng.key, mix, level),
@@ -548,7 +547,7 @@ const plannerCutoffPaperSec = 2.0
 // lengthy pages must not move. The db.plan.* series in each cell's
 // artifacts show what the planner actually chose.
 func runPlanner(ctx context.Context, out io.Writer, opts harness.SweepOptions,
-	build func(string) harness.Config, name string, dbConns int,
+	build func(string) harness.Config, name string,
 	csvDir, jsonDir string) error {
 	mixes := []string{"browsing", "ordering"}
 	idxModes := []string{"off", "on"}
@@ -561,23 +560,14 @@ func runPlanner(ctx context.Context, out io.Writer, opts harness.SweepOptions,
 			mix, ix := mix, ix
 			cfg := build(name).With(func(c *harness.Config) {
 				c.Mix = mix
-				c.Indexes = ix == "on"
+				c.Set["indexes"] = ix
 				// Light load: the quick/lengthy classification is about each
 				// page's service demand, and a saturated run buries that
 				// under queueing delay. A fifth of the configured browsers
 				// keeps every pool below its knee so the means measure the
 				// queries, not the queues.
 				c.EBs = max(8, c.EBs/5)
-				c.DBConns = dbConns
-				if c.DBConns <= 0 {
-					// Same auto-sizing as -exp scaleout: keep the tier, not
-					// the worker pools, as the ceiling.
-					if budget := c.GeneralWorkers + c.LengthyWorkers; budget > 0 {
-						c.DBConns = max(2, budget/6)
-					} else {
-						c.DBConns = 8
-					}
-				}
+				sizeDBConns(c)
 			})
 			scenarios = append(scenarios, harness.Scenario{
 				Name:   cellName(mix, ix),
@@ -665,7 +655,7 @@ func classify(meanPaperSec float64) string {
 // balancer actually did.
 func runShard(ctx context.Context, out io.Writer, opts harness.SweepOptions,
 	build func(string) harness.Config, name string, levels []int, replicas int,
-	dbConns int, loadSet variant.Settings, csvDir, jsonDir string) error {
+	loadSet variant.Settings, csvDir, jsonDir string) error {
 	set := loadSet.Clone()
 	if set == nil {
 		set = variant.Settings{}
@@ -675,19 +665,7 @@ func runShard(ctx context.Context, out io.Writer, opts harness.SweepOptions,
 		// single shard, so added shards have queued work to absorb.
 		set["rate"] = "8"
 	}
-	base := build(name).With(func(c *harness.Config) {
-		c.Replicas = replicas
-		c.DBConns = dbConns
-		if c.DBConns <= 0 {
-			// Same auto-sizing as -exp scaleout: keep the tier, not the
-			// worker pools, as the ceiling.
-			if budget := c.GeneralWorkers + c.LengthyWorkers; budget > 0 {
-				c.DBConns = max(2, budget/6)
-			} else {
-				c.DBConns = 8
-			}
-		}
-	})
+	base := build(name).With(sizeDBConns)
 	scenarios := harness.ShardMatrix(base, levels, []int{replicas},
 		[]harness.LoadSpec{{Profile: load.OpenLoop, Set: set}})
 	fmt.Fprintf(out, "cluster: %s x %d shard levels at %d replica(s) under %s arrivals...\n",
@@ -723,19 +701,13 @@ func runShard(ctx context.Context, out io.Writer, opts harness.SweepOptions,
 	return errors.Join(sweepErr, writeArtifacts(out, csvDir, jsonDir, sw))
 }
 
-// faultModes are the dependability cells swept by -exp faults: a
-// fault-free control, a replica kill inside the database tier, and a
-// whole-shard outage at the balancer. Each runs under both replica
+// faultModes are the dependability cells swept by -exp faults, each
+// the cell's faults setting: a fault-free control, a replica kill
+// inside the database tier, and a whole-shard outage at the balancer.
+// Each runs under both replica
 // apply modes — synchronous fan-out feels an ejected replica directly,
 // asynchronous shipping hides it behind the log.
-var faultModes = []struct {
-	key  string
-	plan string
-}{
-	{"none", ""},
-	{"replica-kill", faults.ReplicaKill},
-	{"shard-down", faults.ShardDown},
-}
+var faultModes = []string{"none", faults.ReplicaKill, faults.ShardDown}
 
 // runFaults runs one variant on the full sharded, replicated stack
 // through the dependability pack: {no-fault, replica-kill, shard-down}
@@ -745,7 +717,7 @@ var faultModes = []struct {
 // retries and breaker opens) and how long SLO attainment took to come
 // back.
 func runFaults(ctx context.Context, out io.Writer, opts harness.SweepOptions,
-	build func(string) harness.Config, name string, dbConns int,
+	build func(string) harness.Config, name string,
 	csvDir, jsonDir string) error {
 	repls := []string{"sync", "async"}
 	cellName := func(mode, repl string) string { return mode + "/" + repl }
@@ -754,26 +726,17 @@ func runFaults(ctx context.Context, out io.Writer, opts harness.SweepOptions,
 		for _, repl := range repls {
 			mode, repl := mode, repl
 			cfg := build(name).With(func(c *harness.Config) {
-				c.Shards = 2
-				c.Replicas = 2
-				c.Repl = repl
-				c.DBConns = dbConns
-				if c.DBConns <= 0 {
-					// Same auto-sizing as -exp scaleout: keep the tier, not
-					// the worker pools, as the ceiling.
-					if budget := c.GeneralWorkers + c.LengthyWorkers; budget > 0 {
-						c.DBConns = max(2, budget/6)
-					} else {
-						c.DBConns = 8
-					}
-				}
-				if mode.plan != "" {
-					c.Faults = mode.plan
-					c.FaultSet = variant.Settings{"at": "60s", "restart": "60s"}
+				c.Set["shards"] = "2"
+				c.Set["replicas"] = "2"
+				c.Set["repl"] = repl
+				sizeDBConns(c)
+				c.Set["faults"] = mode
+				if mode != "none" {
+					c.Set["faultset"] = "at=60s,restart=60s"
 				}
 			})
 			scenarios = append(scenarios, harness.Scenario{
-				Name:   cellName(mode.key, repl),
+				Name:   cellName(mode, repl),
 				Config: cfg,
 			})
 		}
@@ -788,9 +751,9 @@ func runFaults(ctx context.Context, out io.Writer, opts harness.SweepOptions,
 	fmt.Fprintln(out, strings.Repeat("-", 104))
 	for _, mode := range faultModes {
 		for _, repl := range repls {
-			res := sw.Result(cellName(mode.key, repl))
+			res := sw.Result(cellName(mode, repl))
 			if res == nil {
-				fmt.Fprintf(out, "%-24s (failed)\n", cellName(mode.key, repl))
+				fmt.Fprintf(out, "%-24s (failed)\n", cellName(mode, repl))
 				continue
 			}
 			rec := "-"
@@ -805,7 +768,7 @@ func runFaults(ctx context.Context, out io.Writer, opts harness.SweepOptions,
 				}
 			}
 			fmt.Fprintf(out, "%-24s %13d %8d %9.0f %8.0f %8.0f %8.0f %8.0f %9s\n",
-				cellName(mode.key, repl), res.TotalInteractions, res.Errors,
+				cellName(mode, repl), res.TotalInteractions, res.Errors,
 				harness.SeriesMax(res.Series[faults.ProbeInjected]),
 				harness.SeriesMax(res.Series[variant.ProbeDBEjected]),
 				harness.SeriesMax(res.Series[variant.ProbeDBResync]),

@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"stagedweb/internal/analysis/catalog"
+	"stagedweb/internal/cluster"
+	"stagedweb/internal/faults"
 	"stagedweb/internal/harness"
 	"stagedweb/internal/load"
 	"stagedweb/internal/variant"
@@ -123,189 +126,200 @@ func TestExperimentsEBSweep(t *testing.T) {
 	}
 }
 
-// TestExperimentsSpike exercises the flash-crowd mode: variants × the
-// spike profile from one invocation, with the client.* series in the
-// JSON artifacts.
-func TestExperimentsSpike(t *testing.T) {
+// modeCase is one row of TestExperimentModes: a standalone -exp mode
+// run, and what one glob of its JSON artifacts must carry.
+type modeCase struct {
+	name string
+	// args select the mode; every run adds -quick -scale 400 -json dir.
+	args []string
+	// output lists strings the report must print.
+	output []string
+	// glob selects artifacts in the JSON dir; want is how many it must
+	// match.
+	glob string
+	want int
+	// series must be present in every matched artifact; peaked series
+	// must also rise above zero somewhere in the measurement window.
+	series []string
+	peaked []string
+	// axis, when set, is the sweep-axis settings key: each artifact's
+	// config.set value for it must be the level its file name carries
+	// ("..._replicas_2.json" ran with set.replicas=2).
+	axis string
+}
+
+// modeCases lists every standalone -exp mode. Rows sharing args share
+// one run.
+var modeCases = []modeCase{
+	{
+		name: "spike",
+		args: []string{"-exp", "spike", "-ebs", "20", "-measure", "90s",
+			"-load-set", "burst=40", "-load-set", "at=45s", "-load-set", "width=30s"},
+		output: []string{"spike comparison", "peak-ebs", "worst-wirt", "gain"},
+		glob:   "*_spike.json",
+		want:   2,
+		series: []string{load.ProbeActive, load.ProbeOffered, load.ProbeErrors, load.ProbeWIRT},
+	},
+	{
+		// -set replicas=3 must not override the sweep axis.
+		name: "scaleout",
+		args: []string{"-exp", "scaleout", "-ebs", "30", "-measure", "60s",
+			"-variants", "modified", "-replicas", "1,2", "-set", "replicas=3"},
+		output: []string{"replica scale-out", "modified/browsing", "modified/ordering", "gain at 2 vs 1 replicas"},
+		glob:   "modified_*_replicas_*.json",
+		want:   4,
+		series: []string{variant.ProbeDBInUse, variant.ProbeDBWait, variant.ProbeDBQueries},
+		axis:   "replicas",
+	},
+	{
+		name: "mvcc",
+		args: []string{"-exp", "mvcc", "-ebs", "30", "-measure", "60s",
+			"-variants", "modified", "-replicas", "1,2"},
+		output: []string{"storage-engine sweep", "lock/sync/browsing", "mvcc/async/ordering",
+			"engine behavior", "mvcc/sync gain over lock/sync at 2 replicas"},
+		glob: "modified_*_replicas_*.json",
+		want: 12,
+		series: []string{variant.ProbeDBConflicts, variant.ProbeDBSnapshots, variant.ProbeDBReplLag,
+			variant.ProbeDBStmtHits, variant.ProbeDBStmtMiss},
+		axis: "replicas",
+	},
+	{
+		name: "planner",
+		args: []string{"-exp", "planner", "-ebs", "30", "-measure", "60s", "-variants", "modified"},
+		output: []string{"query planner", "planner behavior", "browsing/indexes=off", "ordering/indexes=on",
+			"quick/lengthy boundary under indexing", "pages crossing the 2s cutoff"},
+		glob:   "modified_*_indexes_*.json",
+		want:   4,
+		series: []string{variant.ProbeDBPlanScan, variant.ProbeDBPlanIndex, variant.ProbeDBPlanRows},
+		axis:   "indexes",
+	},
+	{
+		name:   "planner-indexes-on",
+		args:   []string{"-exp", "planner", "-ebs", "30", "-measure", "60s", "-variants", "modified"},
+		glob:   "modified_*_indexes_on.json",
+		want:   2,
+		peaked: []string{variant.ProbeDBPlanIndex},
+	},
+	{
+		// Every cell, shards=1 included, runs behind the balancer.
+		name:   "shard",
+		args:   []string{"-exp", "shard", "-shards", "1,2", "-replicas", "1", "-measure", "60s"},
+		output: []string{"shard scale-out", "throughput gain at 2 vs 1 shards", "sweep report"},
+		glob:   "shards_*_replicas_*.json",
+		want:   2,
+		series: []string{cluster.ProbeShardRoute, cluster.ProbeShardFanout, cluster.ProbeShardImbalance, cluster.ProbeLBWait},
+	},
+	{
+		name: "faults-replica-kill",
+		args: []string{"-exp", "faults", "-ebs", "30", "-measure", "150s"},
+		output: []string{"fault injection", "replica-kill throughput cost (sync)",
+			"shard-down throughput cost (async)"},
+		glob:   "replica-kill_*.json",
+		want:   2,
+		series: []string{faults.ProbeInjected, variant.ProbeDBEjected, variant.ProbeDBResync},
+		peaked: []string{faults.ProbeInjected, variant.ProbeDBEjected},
+	},
+	{
+		// At this size the balancer may see no retries or breaker opens;
+		// the series must still be sampled.
+		name:   "faults-shard-down",
+		args:   []string{"-exp", "faults", "-ebs", "30", "-measure", "150s"},
+		glob:   "shard-down_*.json",
+		want:   2,
+		series: []string{faults.ProbeInjected, cluster.ProbeLBRetry, cluster.ProbeLBBreaker},
+		peaked: []string{faults.ProbeInjected},
+	},
+}
+
+// TestExperimentModes runs every standalone -exp mode once at a small
+// size and checks its report and JSON artifacts against modeCases.
+func TestExperimentModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end experiment skipped in -short mode")
 	}
 	if raceEnabled {
 		t.Skip("race-detector overhead swamps the paper-time calibration")
 	}
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	args := []string{
-		"-quick", "-exp", "spike", "-scale", "400",
-		"-ebs", "20", "-measure", "90s",
-		"-load-set", "burst=40", "-load-set", "at=45s", "-load-set", "width=30s",
-		"-json", dir,
+	type runOut struct {
+		dir, out string
+		err      error
 	}
-	if err := run(args, &buf); err != nil {
-		t.Fatalf("run(%v): %v\noutput:\n%s", args, err, buf.String())
-	}
-	out := buf.String()
-	for _, want := range []string{"spike comparison", "peak-ebs", "worst-wirt", "gain"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output misses %q:\n%s", want, out)
-		}
-	}
-	for _, name := range []string{"unmodified_spike", "modified_spike"} {
-		raw, err := os.ReadFile(filepath.Join(dir, name+".json"))
-		if err != nil {
-			t.Fatalf("spike artifact missing: %v", err)
-		}
-		for _, probe := range []string{load.ProbeActive, load.ProbeWIRT} {
-			if !strings.Contains(string(raw), `"`+probe+`"`) {
-				t.Errorf("%s.json misses %s series", name, probe)
+	root := t.TempDir()
+	runs := map[string]runOut{}
+	for _, tc := range modeCases {
+		t.Run(tc.name, func(t *testing.T) {
+			key := strings.Join(tc.args, " ")
+			r, ok := runs[key]
+			if !ok {
+				r.dir = filepath.Join(root, tc.name)
+				var buf bytes.Buffer
+				args := append([]string{"-quick", "-scale", "400", "-json", r.dir}, tc.args...)
+				r.err = run(args, &buf)
+				r.out = buf.String()
+				runs[key] = r
 			}
-		}
+			if r.err != nil {
+				t.Fatalf("run(%v): %v\noutput:\n%s", tc.args, r.err, r.out)
+			}
+			for _, want := range tc.output {
+				if !strings.Contains(r.out, want) {
+					t.Errorf("output misses %q:\n%s", want, r.out)
+				}
+			}
+			files, err := filepath.Glob(filepath.Join(r.dir, tc.glob))
+			if err != nil || len(files) != tc.want {
+				t.Fatalf("%s matched %d artifacts, want %d (err=%v)", tc.glob, len(files), tc.want, err)
+			}
+			for _, f := range files {
+				checkArtifact(t, f, tc)
+			}
+		})
 	}
 }
 
-// TestExperimentsScaleout exercises the replica-sweep mode: the staged
-// variant across replica counts under both mixes, with the db.* tier
-// series in the JSON artifacts.
-func TestExperimentsScaleout(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end experiment skipped in -short mode")
+// checkArtifact asserts one JSON artifact carries the row's series,
+// peaks, and sweep-axis setting.
+func checkArtifact(t *testing.T, path string, tc modeCase) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if raceEnabled {
-		t.Skip("race-detector overhead swamps the paper-time calibration")
+	var res struct {
+		Config struct {
+			Set map[string]string `json:"set"`
+		} `json:"config"`
+		Series map[string]struct {
+			Points []struct {
+				Value float64 `json:"value"`
+			} `json:"points"`
+		} `json:"series"`
 	}
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	args := []string{
-		"-quick", "-exp", "scaleout", "-scale", "400",
-		"-ebs", "30", "-measure", "60s",
-		"-variants", "modified", "-replicas", "1,2",
-		"-json", dir,
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatalf("%s invalid: %v", path, err)
 	}
-	if err := run(args, &buf); err != nil {
-		t.Fatalf("run(%v): %v\noutput:\n%s", args, err, buf.String())
-	}
-	out := buf.String()
-	for _, want := range []string{"replica scale-out", "modified/browsing", "modified/ordering", "gain at 2 vs 1 replicas"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output misses %q:\n%s", want, out)
+	name := filepath.Base(path)
+	for _, series := range append(tc.series, tc.peaked...) {
+		if !catalog.IsProbe(series) {
+			t.Errorf("%q is not a registered probe name", series)
+		}
+		if _, ok := res.Series[series]; !ok {
+			t.Errorf("%s misses %s series", name, series)
 		}
 	}
-	for _, name := range []string{
-		"modified_browsing_replicas_1", "modified_browsing_replicas_2",
-		"modified_ordering_replicas_1", "modified_ordering_replicas_2",
-	} {
-		raw, err := os.ReadFile(filepath.Join(dir, name+".json"))
-		if err != nil {
-			t.Fatalf("scaleout artifact missing: %v", err)
+	for _, series := range tc.peaked {
+		peak := 0.0
+		for _, p := range res.Series[series].Points {
+			peak = max(peak, p.Value)
 		}
-		for _, probe := range []string{variant.ProbeDBInUse, variant.ProbeDBWait, variant.ProbeDBQueries} {
-			if !strings.Contains(string(raw), `"`+probe+`"`) {
-				t.Errorf("%s.json misses %s series", name, probe)
-			}
+		if peak <= 0 {
+			t.Errorf("%s: %s never rose above zero", name, series)
 		}
 	}
-}
-
-// TestExperimentsMVCC exercises the storage-engine sweep: one variant
-// across {lock/sync, mvcc/sync, mvcc/async} under both mixes, with the
-// engine's db.conflicts/db.snapshots/db.repllag series in the JSON
-// artifacts.
-func TestExperimentsMVCC(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end experiment skipped in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("race-detector overhead swamps the paper-time calibration")
-	}
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	args := []string{
-		"-quick", "-exp", "mvcc", "-scale", "400",
-		"-ebs", "30", "-measure", "60s",
-		"-variants", "modified", "-replicas", "1,2",
-		"-json", dir,
-	}
-	if err := run(args, &buf); err != nil {
-		t.Fatalf("run(%v): %v\noutput:\n%s", args, err, buf.String())
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"storage-engine sweep", "lock/sync/browsing", "mvcc/async/ordering",
-		"engine behavior", "mvcc/sync gain over lock/sync at 2 replicas",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output misses %q:\n%s", want, out)
-		}
-	}
-	for _, name := range []string{
-		"modified_lock_sync_browsing_replicas_1",
-		"modified_mvcc_sync_browsing_replicas_2",
-		"modified_mvcc_async_ordering_replicas_2",
-	} {
-		raw, err := os.ReadFile(filepath.Join(dir, name+".json"))
-		if err != nil {
-			t.Fatalf("mvcc artifact missing: %v", err)
-		}
-		for _, probe := range []string{
-			variant.ProbeDBConflicts, variant.ProbeDBSnapshots,
-			variant.ProbeDBReplLag, variant.ProbeDBStmtHits,
-		} {
-			if !strings.Contains(string(raw), `"`+probe+`"`) {
-				t.Errorf("%s.json misses %s series", name, probe)
-			}
-		}
-	}
-}
-
-// TestExperimentsPlanner exercises the secondary-index sweep: one
-// variant under both mixes with indexes off and on, the quick/lengthy
-// boundary tables in the report, and the db.plan.* series in the JSON
-// artifacts of every cell.
-func TestExperimentsPlanner(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end experiment skipped in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("race-detector overhead swamps the paper-time calibration")
-	}
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	args := []string{
-		"-quick", "-exp", "planner", "-scale", "400",
-		"-ebs", "30", "-measure", "60s",
-		"-variants", "modified", "-json", dir,
-	}
-	if err := run(args, &buf); err != nil {
-		t.Fatalf("run(%v): %v\noutput:\n%s", args, err, buf.String())
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"query planner", "planner behavior",
-		"browsing/indexes=off", "ordering/indexes=on",
-		"quick/lengthy boundary under indexing",
-		"pages crossing the 2s cutoff",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output misses %q:\n%s", want, out)
-		}
-	}
-	for _, name := range []string{
-		"modified_browsing_indexes_off",
-		"modified_browsing_indexes_on",
-		"modified_ordering_indexes_off",
-		"modified_ordering_indexes_on",
-	} {
-		raw, err := os.ReadFile(filepath.Join(dir, name+".json"))
-		if err != nil {
-			t.Fatalf("planner artifact missing: %v", err)
-		}
-		for _, probe := range []string{
-			variant.ProbeDBPlanScan, variant.ProbeDBPlanIndex,
-			variant.ProbeDBPlanRows,
-		} {
-			if !strings.Contains(string(raw), `"`+probe+`"`) {
-				t.Errorf("%s.json misses %s series", name, probe)
-			}
+	if tc.axis != "" {
+		level := res.Config.Set[tc.axis]
+		if !strings.HasSuffix(name, "_"+tc.axis+"_"+level+".json") {
+			t.Errorf("%s ran with set.%s=%q, not its cell's level", name, tc.axis, level)
 		}
 	}
 }

@@ -8,7 +8,7 @@
 // startup errors, so typos do not pass silently:
 //
 //	poolserv -mode staged   -addr :8080
-//	poolserv -mode baseline -addr :8080 -workers 80
+//	poolserv -mode baseline -addr :8080 -set workers=80
 //	poolserv -mode staged -items 10000 -scale 100 -stats 2s
 //	poolserv -mode modified-noreserve          # t_reserve ablated
 //	poolserv -mode staged -set minreserve=15 -set cutoff=3s
@@ -21,7 +21,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -46,27 +45,6 @@ var modeAliases = map[string]string{
 	"baseline": variant.Unmodified,
 }
 
-func collectSettings(fs *flag.FlagSet, workers, general, lengthy *int, noReserve *bool, sets variant.Settings) variant.Settings {
-	// Legacy sizing flags become settings only when explicitly passed,
-	// so a variant that does not understand them ("-mode baseline
-	// -general 32") fails loudly instead of ignoring them. Explicit
-	// -set pairs win over the legacy aliases.
-	settings := variant.Settings{}
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "workers":
-			settings["workers"] = strconv.Itoa(*workers)
-		case "general":
-			settings["general"] = strconv.Itoa(*general)
-		case "lengthy":
-			settings["lengthy"] = strconv.Itoa(*lengthy)
-		case "noreserve":
-			settings["noreserve"] = strconv.FormatBool(*noReserve)
-		}
-	})
-	return settings.Merge(sets)
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("poolserv", flag.ContinueOnError)
 	var (
@@ -76,10 +54,6 @@ func run(args []string) error {
 		customers = fs.Int("customers", 2880, "customer population")
 		orders    = fs.Int("orders", 2592, "order population")
 		scale     = fs.Float64("scale", 1, "timescale (1 = real time)")
-		workers   = fs.Int("workers", 80, "baseline worker/connection count (alias for -set workers=N)")
-		general   = fs.Int("general", 64, "staged general dynamic workers (alias for -set general=N)")
-		lengthy   = fs.Int("lengthy", 16, "staged lengthy dynamic workers (alias for -set lengthy=N)")
-		noReserve = fs.Bool("noreserve", false, "staged: disable the t_reserve controller (alias for -set noreserve=true)")
 		statsEach = fs.Duration("stats", 0, "print server stats every interval (0 = off)")
 		sets      variant.SettingsFlag
 	)
@@ -96,7 +70,6 @@ func run(args []string) error {
 	if !ok {
 		return fmt.Errorf("unknown mode %q (registered variants: %s)", *mode, strings.Join(variant.Names(), ", "))
 	}
-	settings := collectSettings(fs, workers, general, lengthy, noReserve, sets.Settings)
 
 	ts := clock.Timescale(*scale)
 	db := sqldb.Open(sqldb.Options{Timescale: ts})
@@ -121,7 +94,7 @@ func run(args []string) error {
 		DB:    db,
 		Scale: ts,
 		Cost:  server.DefaultWorkCost(),
-		Set:   settings,
+		Set:   sets.Settings,
 	})
 	if err != nil {
 		_ = l.Close()

@@ -81,6 +81,12 @@
 // //lint:allow analyzer(reason) comments; see the README's "Static
 // analysis" section.
 //
+// Every knob — pool sizes, the 2 s cutoff, the t_reserve floor,
+// replicas, engines, shards, fault plans — is a key=value setting on one
+// strict surface (variant.Settings) shared by -set, the variant, load
+// and fault registries, and harness.Config, where Set holds explicit
+// settings and Defaults the advisory per-topology pool sizes.
+//
 // See README.md for the architecture, a walkthrough, design notes, and
 // how to run the experiments. The root-level bench_test.go regenerates
 // each table and figure as a Go benchmark.

@@ -91,7 +91,7 @@ type Options struct {
 }
 
 // DecodeSettings splits the cluster-owned settings out of a config's
-// explicit settings and decodes them (against the harness-lowered
+// explicit settings and decodes them (against the harness's advisory
 // defaults): shards (shard count, >= 1) and lb (hash|rr). It returns
 // the decoded options, a copy of the explicit settings with the
 // cluster keys removed (what the shard variant builders should see),

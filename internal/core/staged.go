@@ -239,10 +239,10 @@ func New(cfg Config) (*Server, error) {
 		rc = sched.NewReserveController(cfg.MinReserve)
 		// Keep the controller in its stable region: reserving more than
 		// 3/4 of the general pool would let the grow rule run away (see
-		// sched.NewReserveController).
-		if maxR := cfg.GeneralWorkers * 3 / 4; maxR > cfg.MinReserve {
-			rc.SetMax(maxR)
-		}
+		// sched.NewReserveController). A minimum above that cap becomes
+		// the cap, so a small general pool pins t_reserve at its minimum
+		// instead of doubling it every tick.
+		rc.SetMax(max(cfg.GeneralWorkers*3/4, cfg.MinReserve))
 	}
 
 	s.header = stage.New(stage.Config[*server.Conn]{

@@ -331,8 +331,33 @@ func TestStagedManyConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	// The served count moves after the reply is flushed, so the last
+	// client can return first; Stop drains every stage worker.
+	env.srv.Stop()
 	if env.srv.Served() < 64 {
 		t.Fatalf("Served = %d, want >= 64", env.srv.Served())
+	}
+}
+
+// TestStagedReserveBoundedOnSmallGeneralPool pins the t_reserve bound
+// when the minimum reserve exceeds 3/4 of the general pool: t_spare can
+// never reach the default minimum of 20 with 8 general workers, so an
+// unbounded grow rule would double the reserve every controller tick.
+func TestStagedReserveBoundedOnSmallGeneralPool(t *testing.T) {
+	manual := clock.NewManual(time.Unix(1_700_000_000, 0))
+	env := startStaged(t, stagedApp(), func(cfg *core.Config) {
+		cfg.Clock = manual
+		cfg.Scale = clock.RealTime
+		cfg.GeneralWorkers = 8
+		cfg.MinReserve = 0 // the default, 20
+	})
+	manual.BlockUntilWaiters(1) // the controller's ticker
+	for tick := 1; tick <= 100; tick++ {
+		manual.Advance(time.Second)
+		time.Sleep(time.Millisecond) // let the controller consume the tick
+		if got := env.srv.Reserve(); got != 20 {
+			t.Fatalf("tick %d: Reserve = %d, want 20", tick, got)
+		}
 	}
 }
 
@@ -377,7 +402,7 @@ func TestStagedGracefulShutdownDrains(t *testing.T) {
 	if !webtest.WaitUntil(5*time.Second, func() bool {
 		g, _ := env.srv.Graph().Stage("general")
 		st := g.Stats()
-		return st.Busy == 3 && st.Depth >= 1
+		return st.Busy == 3 && st.Depth == inFlight-3
 	}) {
 		t.Fatal("general stage never saturated")
 	}

@@ -164,7 +164,7 @@ func Names() []string {
 }
 
 // DecodeSettings splits the fault-owned settings out of a config's
-// explicit settings and decodes them (against the harness-lowered
+// explicit settings and decodes them (against the harness's advisory
 // defaults): faults (a registered plan name; "" or "none" disables
 // injection) and faultset ("key=value,key=value" plan settings). It
 // returns the plan name ("" when disabled), the parsed plan settings,

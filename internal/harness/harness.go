@@ -17,7 +17,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -52,50 +51,11 @@ const (
 	SeriesThroughputLengthy = "throughput.lengthy"
 )
 
-// ServerKind is the legacy closed enum of server variants.
-//
-// Deprecated: name variants by their registry name instead
-// (variant.Unmodified, variant.Modified, ...); the registry is open
-// where this enum is not. Config.Kind still resolves through the
-// registry so old call sites keep working.
-type ServerKind int
-
-const (
-	// Unmodified is the baseline thread-per-request server.
-	Unmodified ServerKind = iota + 1
-	// Modified is the staged multi-pool server (the paper's proposal).
-	Modified
-	// ModifiedNoReserve is the staged server with the t_reserve feedback
-	// controller ablated (reserve pinned to zero).
-	ModifiedNoReserve
-)
-
-func (k ServerKind) String() string {
-	switch k {
-	case Unmodified:
-		return variant.Unmodified
-	case Modified:
-		return variant.Modified
-	case ModifiedNoReserve:
-		return variant.ModifiedNoReserve
-	default:
-		return "unknown"
-	}
-}
-
-// Staged reports whether the kind is a staged-server variant.
-func (k ServerKind) Staged() bool { return k == Modified || k == ModifiedNoReserve }
-
 // Config describes one experimental run. All durations are paper time.
 type Config struct {
 	// Variant is the registered name of the server variant under test
 	// (see internal/variant).
 	Variant string `json:"variant"`
-	// Kind is the deprecated enum selector, consulted only when Variant
-	// is empty.
-	//
-	// Deprecated: set Variant.
-	Kind ServerKind `json:"-"`
 
 	Scale clock.Timescale `json:"scale"`
 
@@ -135,70 +95,24 @@ type Config struct {
 	// Work models render/static worker time (CPython-calibrated).
 	Work server.WorkCost `json:"work"`
 
-	// Typed sizing knobs, lowered into variant settings as defaults: a
-	// variant applies the keys it understands and ignores the rest.
-	// Baseline sizing: worker count == database connection budget.
-	BaselineWorkers int `json:"baseline_workers,omitempty"`
-	// Staged sizing.
-	HeaderWorkers  int           `json:"header_workers,omitempty"`
-	StaticWorkers  int           `json:"static_workers,omitempty"`
-	GeneralWorkers int           `json:"general_workers,omitempty"`
-	LengthyWorkers int           `json:"lengthy_workers,omitempty"`
-	RenderWorkers  int           `json:"render_workers,omitempty"`
-	MinReserve     int           `json:"min_reserve,omitempty"`
-	Cutoff         time.Duration `json:"cutoff_ns,omitempty"`
-	// Database-tier sizing (both variants): total backends (primary +
-	// read replicas; 0 or 1 means a single database) and the connection
-	// pool size per backend (0 means the variant's worker budget).
-	Replicas int `json:"replicas,omitempty"`
-	DBConns  int `json:"db_conns,omitempty"`
-	// Storage engine (both variants): MVCC switches the primary to
-	// snapshot reads + optimistic writes ("mvcc" setting); Repl picks
-	// the replica apply mode, "sync" (default) or "async" ("repl"
-	// setting).
-	MVCC bool   `json:"mvcc,omitempty"`
-	Repl string `json:"repl,omitempty"`
-	// Indexes builds the extra TPC-W secondary indexes after population
-	// ("indexes" setting) — the planner experiment's schema axis. The
-	// paper's deliberately index-starved schema is the default.
-	Indexes bool `json:"indexes,omitempty"`
-	// Cluster tier (see internal/cluster): Shards > 0 fronts that many
-	// shard-owning variant instances with the consistent-hash balancer
-	// (lowered into the "shards" setting; even shards=1 routes through
-	// the balancer so sharded sweeps compare like with like). Zero means
-	// no cluster layer at all. LB picks the key-less routing policy
-	// ("lb" setting): cluster.LBHash (default) or cluster.LBRR.
-	Shards int    `json:"shards,omitempty"`
-	LB     string `json:"lb,omitempty"`
-	// Fault injection (see internal/faults): Faults names a registered
-	// fault plan started when the measurement window opens (lowered into
-	// the "faults" setting; empty or "none" runs fault-free), FaultSet
-	// holds the plan's settings (lowered into "faultset"; unknown keys
-	// are build errors).
-	Faults   string           `json:"faults,omitempty"`
-	FaultSet variant.Settings `json:"fault_set,omitempty"`
+	// Defaults holds advisory variant settings: the per-topology pool
+	// sizes (workers, header, static, general, lengthy, render,
+	// minreserve) that one variant applies and the others ignore. It
+	// becomes variant.Env.Defaults, so a key no variant understands is
+	// silently ignored here — keep anything every variant consumes in
+	// Set.
+	Defaults variant.Settings `json:"defaults,omitempty"`
 
 	// SLO is the paper-time WIRT threshold for the Result's
 	// SLO-attainment figure; zero takes 3 s (the TPC-W web interaction
 	// response-time constraint for most pages).
 	SLO time.Duration `json:"slo_ns,omitempty"`
 
-	// Set holds explicit variant-setting overrides, layered over the
-	// typed fields above. Unlike the typed fields, a key the variant
-	// does not understand is a build error.
+	// Set holds explicit settings layered over Defaults: -set pairs,
+	// sweep axes, and every key the variant, the cluster tier (shards,
+	// lb) or the fault decoder (faults, faultset) consumes. Unlike
+	// Defaults, a key nothing understands is a build error.
 	Set variant.Settings `json:"set,omitempty"`
-}
-
-// VariantName resolves the variant under test: Variant if set, else the
-// deprecated Kind.
-func (c Config) VariantName() (string, error) {
-	if c.Variant != "" {
-		return c.Variant, nil
-	}
-	if c.Kind != 0 {
-		return c.Kind.String(), nil
-	}
-	return "", fmt.Errorf("harness: config names no variant")
 }
 
 // LoadName resolves the load profile under test: Load if set, else the
@@ -210,10 +124,12 @@ func (c Config) LoadName() string {
 	return load.Steady
 }
 
-// With returns a copy of the config with the mutations applied. The Set
-// and LoadSet maps are cloned (and allocated if nil) first, so scenario
-// mutations can write them freely without aliasing the base config.
+// With returns a copy of the config with the mutations applied. The
+// settings maps are cloned (Set and LoadSet allocated if nil) first, so
+// scenario mutations can write them freely without aliasing the base
+// config.
 func (c Config) With(muts ...func(*Config)) Config {
+	c.Defaults = c.Defaults.Clone()
 	c.Set = c.Set.Clone()
 	if c.Set == nil {
 		c.Set = variant.Settings{}
@@ -228,66 +144,8 @@ func (c Config) With(muts ...func(*Config)) Config {
 	return c
 }
 
-// settings lowers the typed sizing fields into variant settings.
-func (c Config) settings() variant.Settings {
-	s := variant.Settings{}
-	put := func(key string, v int) {
-		if v > 0 {
-			s[key] = fmt.Sprint(v)
-		}
-	}
-	put("workers", c.BaselineWorkers)
-	put("header", c.HeaderWorkers)
-	put("static", c.StaticWorkers)
-	put("general", c.GeneralWorkers)
-	put("lengthy", c.LengthyWorkers)
-	put("render", c.RenderWorkers)
-	put("minreserve", c.MinReserve)
-	put("replicas", c.Replicas)
-	put("dbconns", c.DBConns)
-	put("shards", c.Shards)
-	if c.LB != "" {
-		s["lb"] = c.LB
-	}
-	if c.Cutoff > 0 {
-		s["cutoff"] = c.Cutoff.String()
-	}
-	if c.MVCC {
-		s["mvcc"] = "on"
-	}
-	if c.Indexes {
-		s["indexes"] = "on"
-	}
-	if c.Repl != "" {
-		s["repl"] = c.Repl
-	}
-	if c.Faults != "" {
-		s["faults"] = c.Faults
-	}
-	if len(c.FaultSet) > 0 {
-		s["faultset"] = encodeKV(c.FaultSet)
-	}
-	return s
-}
-
-// encodeKV flattens a settings map into the "key=value,key=value" form
-// the faultset setting carries, in sorted key order so the lowering is
-// deterministic.
-func encodeKV(set variant.Settings) string {
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = k + "=" + set[k]
-	}
-	return strings.Join(parts, ",")
-}
-
 // loadDefaults lowers the deprecated EBs field into advisory profile
-// settings, the same way settings() lowers pool sizes for variants.
+// settings.
 func (c Config) loadDefaults() variant.Settings {
 	s := variant.Settings{}
 	if c.EBs > 0 {
@@ -333,13 +191,12 @@ func PaperConfig(variantName string, scale clock.Timescale) Config {
 			StaticBase:  5 * time.Millisecond,
 			StaticPerKB: time.Millisecond,
 		},
-		BaselineWorkers: 48,
-		HeaderWorkers:   32,
-		StaticWorkers:   32,
-		GeneralWorkers:  40,
-		LengthyWorkers:  10,
-		RenderWorkers:   32,
-		MinReserve:      10,
+		Defaults: variant.Settings{
+			"workers": "48",
+			"header":  "32", "static": "32", "general": "40", "lengthy": "10", "render": "32",
+			"minreserve": "10",
+		},
+		Set: variant.Settings{},
 	}
 }
 
@@ -362,14 +219,12 @@ func QuickConfig(variantName string, scale clock.Timescale) Config {
 		Populate:    tpcw.PopulateConfig{Items: 2000, Customers: 600, Orders: 520},
 		Cost:        cost,
 		Work:        server.DefaultWorkCost(),
-
-		BaselineWorkers: 26,
-		HeaderWorkers:   16,
-		StaticWorkers:   16,
-		GeneralWorkers:  21,
-		LengthyWorkers:  5,
-		RenderWorkers:   16,
-		MinReserve:      5,
+		Defaults: variant.Settings{
+			"workers": "26",
+			"header":  "16", "static": "16", "general": "21", "lengthy": "5", "render": "16",
+			"minreserve": "5",
+		},
+		Set: variant.Settings{},
 	}
 }
 
@@ -437,9 +292,9 @@ type Result struct {
 
 // Run executes one experiment.
 func Run(cfg Config) (*Result, error) {
-	name, err := cfg.VariantName()
-	if err != nil {
-		return nil, err
+	name := cfg.Variant
+	if name == "" {
+		return nil, fmt.Errorf("harness: config names no variant")
 	}
 	v, ok := variant.Lookup(name)
 	if !ok {
@@ -464,7 +319,7 @@ func Run(cfg Config) (*Result, error) {
 	// The fault plan splits off first: the "faults"/"faultset" settings
 	// are experiment inputs, not server configuration, and must never
 	// reach the cluster or variant decoders.
-	faultPlan, faultSet, runSet, err := faults.DecodeSettings(cfg.Set, cfg.settings())
+	faultPlan, faultSet, runSet, err := faults.DecodeSettings(cfg.Set, cfg.Defaults)
 	if err != nil {
 		return nil, err
 	}
@@ -474,7 +329,7 @@ func Run(cfg Config) (*Result, error) {
 	// untouched. clustered is true whenever a shards setting is present
 	// (even shards=1), so a sharded sweep's baseline cell pays the same
 	// balancer hop as its scaled cells.
-	clusterOpts, shardSet, clustered, err := cluster.DecodeSettings(runSet, cfg.settings())
+	clusterOpts, shardSet, clustered, err := cluster.DecodeSettings(runSet, cfg.Defaults)
 	if err != nil {
 		return nil, err
 	}
@@ -516,7 +371,7 @@ func Run(cfg Config) (*Result, error) {
 		// The indexes=on axis builds its extra indexes on each shard's
 		// primary before any variant is constructed, so replicas cloned
 		// from it inherit them (CloneSnapshot copies index structures).
-		if variant.IndexesEnabled(cfg.Set, cfg.settings()) {
+		if variant.IndexesEnabled(cfg.Set, cfg.Defaults) {
 			if err := tpcw.CreateExtraIndexes(db); err != nil {
 				return nil, err
 			}
@@ -594,7 +449,7 @@ func Run(cfg Config) (*Result, error) {
 			Cost:       cfg.Work,
 			OnComplete: onComplete,
 			Set:        set,
-			Defaults:   cfg.settings(),
+			Defaults:   cfg.Defaults,
 		})
 	}
 	var inst variant.Instance

@@ -6,12 +6,14 @@ import (
 	"testing"
 	"time"
 
+	"stagedweb/internal/analysis/catalog"
 	"stagedweb/internal/clock"
 	"stagedweb/internal/load"
 	"stagedweb/internal/metrics"
 	"stagedweb/internal/sqldb"
 	"stagedweb/internal/tpcw"
 	"stagedweb/internal/variant"
+	"stagedweb/internal/webtest"
 )
 
 // testConfig is a miniature experiment that still exhibits the paper's
@@ -147,7 +149,7 @@ func TestExperimentShape(t *testing.T) {
 }
 
 // TestClusterRun drives a sharded run end to end through the public
-// config surface: Config.Shards puts the consistent-hash balancer in
+// config surface: a shards setting puts the consistent-hash balancer in
 // front of shard-owning instances, the balancer's routing series land
 // in Result.Series next to the aggregated server series, and the tail
 // statistics are populated.
@@ -164,8 +166,8 @@ func TestClusterRun(t *testing.T) {
 	cfg.Measure = time.Minute
 	cfg.CoolDown = 5 * time.Second
 	cfg.Populate = tpcw.PopulateConfig{Items: 300, Customers: 120, Orders: 100}
-	cfg.Shards = 2
-	cfg.LB = "hash"
+	cfg.Set["shards"] = "2"
+	cfg.Set["lb"] = "hash"
 
 	res, err := Run(cfg)
 	if err != nil {
@@ -199,7 +201,7 @@ func TestClusterRun(t *testing.T) {
 
 	// The strict settings surface covers the cluster keys: a bad lb
 	// policy is a build error, not a silent fallback.
-	bad := cfg.With(func(c *Config) { c.LB = "random" })
+	bad := cfg.With(func(c *Config) { c.Set["lb"] = "random" })
 	if _, err := Run(bad); err == nil {
 		t.Error("lb=random accepted")
 	}
@@ -292,30 +294,6 @@ func seriesNames(res *Result) []string {
 	return names
 }
 
-// TestServerKindShim exercises the deprecated enum path: a config that
-// names no variant but sets Kind still resolves through the registry.
-func TestServerKindShim(t *testing.T) {
-	if Unmodified.String() != variant.Unmodified || Modified.String() != variant.Modified ||
-		ModifiedNoReserve.String() != variant.ModifiedNoReserve {
-		t.Fatal("kind names diverge from registry names")
-	}
-	if !Modified.Staged() || !ModifiedNoReserve.Staged() || Unmodified.Staged() {
-		t.Fatal("Staged() wrong")
-	}
-	cfg := QuickConfig("", clock.Timescale(400))
-	cfg.Kind = Modified
-	cfg.EBs = 10
-	cfg.RampUp, cfg.Measure, cfg.CoolDown = 2*time.Second, 15*time.Second, 2*time.Second
-	cfg.Populate = tpcw.PopulateConfig{Items: 100, Customers: 30, Orders: 20}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Variant != variant.Modified {
-		t.Fatalf("kind did not resolve: %q", res.Variant)
-	}
-}
-
 func TestTable2Rendering(t *testing.T) {
 	tspare := []int{35, 24, 17, 21, 30, 36, 38, 37, 35, 39}
 	treserve := []int{20, 20, 20, 26, 31, 32, 30, 26, 21, 20}
@@ -399,7 +377,7 @@ func TestThroughputGain(t *testing.T) {
 
 func TestPaperAndQuickConfigs(t *testing.T) {
 	p := PaperConfig(variant.Modified, clock.DefaultScale)
-	if p.EBs != 400 || p.Measure != 50*time.Minute || p.GeneralWorkers != 4*p.LengthyWorkers {
+	if p.EBs != 400 || p.Measure != 50*time.Minute || p.Defaults["general"] != "40" || p.Defaults["lengthy"] != "10" {
 		t.Fatalf("paper config wrong: %+v", p)
 	}
 	q := QuickConfig(variant.Unmodified, clock.DefaultScale)
@@ -408,6 +386,41 @@ func TestPaperAndQuickConfigs(t *testing.T) {
 	}
 	if q.Cost == (sqldb.CostModel{}) {
 		t.Fatal("quick config has zero cost model")
+	}
+}
+
+// TestConfigDefaultsAreConsumed guards the advisory Defaults map: a
+// variant ignores keys it does not understand there, so a misspelt key
+// would pass silently. Every key must be a catalogued settings key that
+// at least one registered variant decodes.
+func TestConfigDefaultsAreConsumed(t *testing.T) {
+	for _, cfg := range []Config{
+		PaperConfig(variant.Modified, clock.DefaultScale),
+		QuickConfig(variant.Modified, clock.DefaultScale),
+	} {
+		for key, val := range cfg.Defaults {
+			if !catalog.IsSettingsKey(key) {
+				t.Errorf("Defaults key %q is not a catalogued settings key", key)
+				continue
+			}
+			consumed := false
+			for _, name := range variant.Names() {
+				v, _ := variant.Lookup(name)
+				inst, err := v.Build(variant.Env{
+					App: webtest.NewApp(),
+					DB:  sqldb.Open(sqldb.Options{Cost: sqldb.ZeroCostModel()}),
+					Set: variant.Settings{key: val},
+				})
+				if err == nil {
+					inst.Stop()
+					consumed = true
+					break
+				}
+			}
+			if !consumed {
+				t.Errorf("Defaults key %s=%s is consumed by no registered variant", key, val)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -47,7 +48,6 @@ func Matrix(base Config, variants []string, loads []LoadSpec) []Scenario {
 		for _, ld := range loads {
 			cfg := base.With(func(c *Config) {
 				c.Variant = v
-				c.Kind = 0
 				c.Load = ld.Profile
 				c.LoadSet = ld.Set.Clone()
 			})
@@ -61,23 +61,16 @@ func Matrix(base Config, variants []string, loads []LoadSpec) []Scenario {
 // from a base config: one cell per combination, named
 // "shards=M/replicas=R/profile". Every cell — shards=1 included — runs
 // through the cluster balancer, so cells differ only in shard count,
-// not in topology. Empty shards or replicas axes collapse to the base
-// config's value.
+// not in topology.
 func ShardMatrix(base Config, shards, replicas []int, loads []LoadSpec) []Scenario {
-	if len(shards) == 0 {
-		shards = []int{base.Shards}
-	}
-	if len(replicas) == 0 {
-		replicas = []int{base.Replicas}
-	}
 	out := make([]Scenario, 0, len(shards)*len(replicas)*len(loads))
 	for _, m := range shards {
 		for _, r := range replicas {
 			for _, ld := range loads {
 				m, r := m, r
 				cfg := base.With(func(c *Config) {
-					c.Shards = m
-					c.Replicas = r
+					c.Set["shards"] = strconv.Itoa(m)
+					c.Set["replicas"] = strconv.Itoa(r)
 					c.Load = ld.Profile
 					c.LoadSet = ld.Set.Clone()
 				})

@@ -231,6 +231,20 @@ func (db *DB) pinSnapshot(ts int64) {
 	db.snapMu.Unlock()
 }
 
+// pinLatest pins and returns the current commit timestamp. Reading the
+// timestamp under snapMu makes the read and the pin one step as seen by
+// pruneHorizon: a writer either sees the pin or took its horizon from a
+// commit timestamp no newer than the pinned one. Loading the timestamp
+// before pinSnapshot would let two commits in between prune the
+// versions the reader is about to resolve.
+func (db *DB) pinLatest() int64 {
+	db.snapMu.Lock()
+	ts := db.commitTS.Load()
+	db.snapCount[ts]++
+	db.snapMu.Unlock()
+	return ts
+}
+
 // unpinSnapshot releases a pinSnapshot registration.
 func (db *DB) unpinSnapshot(ts int64) {
 	db.snapMu.Lock()

@@ -310,8 +310,7 @@ func (db *DB) execUpdate(s *updateStmt, ec *execCtx) (ExecResult, error) {
 		cols[i] = ci
 	}
 	if db.mvcc.Load() {
-		snapTS := db.commitTS.Load()
-		db.pinSnapshot(snapTS)
+		snapTS := db.pinLatest()
 		defer db.unpinSnapshot(snapTS)
 		b := binding{ref: tableRef{Table: s.Table}, tbl: tbl, view: tbl.view(snapTS)}
 		writes, err := db.collectUpdates(s, b, cols, ec)
@@ -389,8 +388,7 @@ func (db *DB) execDelete(s *deleteStmt, ec *execCtx) (ExecResult, error) {
 		return ExecResult{}, err
 	}
 	if db.mvcc.Load() {
-		snapTS := db.commitTS.Load()
-		db.pinSnapshot(snapTS)
+		snapTS := db.pinLatest()
 		defer db.unpinSnapshot(snapTS)
 		b := binding{ref: tableRef{Table: s.Table}, tbl: tbl, view: tbl.view(snapTS)}
 		deletes, err := db.collectDeletes(s, b, ec)

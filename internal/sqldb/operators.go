@@ -24,9 +24,8 @@ func (db *DB) execSelect(s *selectStmt, ec *execCtx) (*ResultSet, error) {
 		return nil, err
 	}
 	if db.mvcc.Load() {
-		ts := db.commitTS.Load()
+		ts := db.pinLatest()
 		db.snapshotReads.Inc()
-		db.pinSnapshot(ts)
 		defer db.unpinSnapshot(ts)
 		bindViews(bindings, ts)
 		defer db.chargeCost(ec) // no locks held; the sleep delays only this statement

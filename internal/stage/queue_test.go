@@ -1,4 +1,4 @@
-package pool
+package stage
 
 import (
 	"sync"
@@ -8,14 +8,14 @@ import (
 )
 
 func TestQueueFIFO(t *testing.T) {
-	q := NewQueue[int](4)
+	q := newQueue[int](4)
 	for i := 1; i <= 4; i++ {
-		if err := q.Put(i); err != nil {
+		if err := q.put(i); err != nil {
 			t.Fatalf("Put(%d): %v", i, err)
 		}
 	}
 	for i := 1; i <= 4; i++ {
-		got, ok := q.Get()
+		got, ok := q.get()
 		if !ok || got != i {
 			t.Fatalf("Get = %d,%v, want %d,true", got, ok, i)
 		}
@@ -23,16 +23,16 @@ func TestQueueFIFO(t *testing.T) {
 }
 
 func TestQueueWrapAround(t *testing.T) {
-	q := NewQueue[int](2)
+	q := newQueue[int](2)
 	mustPut := func(v int) {
 		t.Helper()
-		if err := q.Put(v); err != nil {
+		if err := q.put(v); err != nil {
 			t.Fatal(err)
 		}
 	}
 	mustGet := func(want int) {
 		t.Helper()
-		got, ok := q.Get()
+		got, ok := q.get()
 		if !ok || got != want {
 			t.Fatalf("Get = %d,%v, want %d,true", got, ok, want)
 		}
@@ -43,24 +43,24 @@ func TestQueueWrapAround(t *testing.T) {
 	mustPut(3) // wraps
 	mustGet(2)
 	mustGet(3)
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", q.Len())
+	if q.len() != 0 {
+		t.Fatalf("Len = %d, want 0", q.len())
 	}
 }
 
 func TestQueuePutBlocksWhenFull(t *testing.T) {
-	q := NewQueue[int](1)
-	if err := q.Put(1); err != nil {
+	q := newQueue[int](1)
+	if err := q.put(1); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- q.Put(2) }()
+	go func() { done <- q.put(2) }()
 	select {
 	case <-done:
 		t.Fatal("Put returned while queue full")
 	case <-time.After(20 * time.Millisecond):
 	}
-	if got, ok := q.Get(); !ok || got != 1 {
+	if got, ok := q.get(); !ok || got != 1 {
 		t.Fatalf("Get = %d,%v", got, ok)
 	}
 	select {
@@ -74,10 +74,10 @@ func TestQueuePutBlocksWhenFull(t *testing.T) {
 }
 
 func TestQueueGetBlocksWhenEmpty(t *testing.T) {
-	q := NewQueue[int](1)
+	q := newQueue[int](1)
 	got := make(chan int, 1)
 	go func() {
-		v, _ := q.Get()
+		v, _ := q.get()
 		got <- v
 	}()
 	select {
@@ -85,7 +85,7 @@ func TestQueueGetBlocksWhenEmpty(t *testing.T) {
 		t.Fatal("Get returned on empty queue")
 	case <-time.After(20 * time.Millisecond):
 	}
-	if err := q.Put(42); err != nil {
+	if err := q.put(42); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -99,34 +99,34 @@ func TestQueueGetBlocksWhenEmpty(t *testing.T) {
 }
 
 func TestQueueTryPut(t *testing.T) {
-	q := NewQueue[int](1)
-	ok, err := q.TryPut(1)
+	q := newQueue[int](1)
+	ok, err := q.tryPut(1)
 	if !ok || err != nil {
 		t.Fatalf("TryPut = %v,%v, want true,nil", ok, err)
 	}
-	ok, err = q.TryPut(2)
+	ok, err = q.tryPut(2)
 	if ok || err != nil {
 		t.Fatalf("TryPut on full = %v,%v, want false,nil", ok, err)
 	}
-	q.Close()
-	if _, err := q.TryPut(3); err != ErrClosed {
-		t.Fatalf("TryPut on closed = %v, want ErrClosed", err)
+	q.close()
+	if _, err := q.tryPut(3); err != errQueueClosed {
+		t.Fatalf("TryPut on closed = %v, want errQueueClosed", err)
 	}
 }
 
 func TestQueueCloseUnblocksPut(t *testing.T) {
-	q := NewQueue[int](1)
-	if err := q.Put(1); err != nil {
+	q := newQueue[int](1)
+	if err := q.put(1); err != nil {
 		t.Fatal(err)
 	}
 	errCh := make(chan error, 1)
-	go func() { errCh <- q.Put(2) }()
+	go func() { errCh <- q.put(2) }()
 	time.Sleep(10 * time.Millisecond)
-	q.Close()
+	q.close()
 	select {
 	case err := <-errCh:
-		if err != ErrClosed {
-			t.Fatalf("Put after close = %v, want ErrClosed", err)
+		if err != errQueueClosed {
+			t.Fatalf("Put after close = %v, want errQueueClosed", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Put never unblocked by Close")
@@ -134,38 +134,39 @@ func TestQueueCloseUnblocksPut(t *testing.T) {
 }
 
 func TestQueueCloseDrains(t *testing.T) {
-	q := NewQueue[int](4)
-	_ = q.Put(1)
-	_ = q.Put(2)
-	q.Close()
-	if v, ok := q.Get(); !ok || v != 1 {
+	q := newQueue[int](4)
+	_ = q.put(1)
+	_ = q.put(2)
+	q.close()
+	if v, ok := q.get(); !ok || v != 1 {
 		t.Fatalf("Get = %d,%v, want 1,true", v, ok)
 	}
-	if v, ok := q.Get(); !ok || v != 2 {
+	if v, ok := q.get(); !ok || v != 2 {
 		t.Fatalf("Get = %d,%v, want 2,true", v, ok)
 	}
-	if _, ok := q.Get(); ok {
+	if _, ok := q.get(); ok {
 		t.Fatal("Get after drain should report !ok")
 	}
 }
 
 func TestQueueCloseIdempotent(t *testing.T) {
-	q := NewQueue[int](1)
-	q.Close()
-	q.Close()
-	if _, ok := q.Get(); ok {
+	q := newQueue[int](1)
+	q.close()
+	q.close()
+	if _, ok := q.get(); ok {
 		t.Fatal("Get on closed empty queue should report !ok")
 	}
 }
 
 func TestQueueStats(t *testing.T) {
-	q := NewQueue[int](4)
-	_ = q.Put(1)
-	_ = q.Put(2)
-	_, _ = q.Get()
-	s := q.Stats()
-	if s.Enqueued != 2 || s.Dequeued != 1 || s.Len != 1 || s.MaxLen != 2 || s.Cap != 4 || s.Closed {
-		t.Fatalf("Stats = %+v", s)
+	q := newQueue[int](4)
+	_ = q.put(1)
+	_ = q.put(2)
+	_, _ = q.get()
+	var s Stats
+	q.snapshot(&s)
+	if s.Enqueued != 2 || s.Dequeued != 1 || s.Depth != 1 || s.MaxDepth != 2 || s.QueueCap != 4 || s.Closed {
+		t.Fatalf("snapshot = %+v", s)
 	}
 }
 
@@ -175,11 +176,11 @@ func TestQueueInvalidCapacityPanics(t *testing.T) {
 			t.Fatal("zero capacity did not panic")
 		}
 	}()
-	NewQueue[int](0)
+	newQueue[int](0)
 }
 
 func TestQueueConcurrentProducersConsumers(t *testing.T) {
-	q := NewQueue[int](8)
+	q := newQueue[int](8)
 	const producers, perP = 8, 200
 	var consumed sync.Map
 	var wg sync.WaitGroup
@@ -190,7 +191,7 @@ func TestQueueConcurrentProducersConsumers(t *testing.T) {
 		go func() {
 			defer consumerWG.Done()
 			for {
-				v, ok := q.Get()
+				v, ok := q.get()
 				if !ok {
 					return
 				}
@@ -204,7 +205,7 @@ func TestQueueConcurrentProducersConsumers(t *testing.T) {
 		go func(base int) {
 			defer wg.Done()
 			for i := 0; i < perP; i++ {
-				if err := q.Put(base*perP + i); err != nil {
+				if err := q.put(base*perP + i); err != nil {
 					t.Errorf("Put: %v", err)
 					return
 				}
@@ -212,7 +213,7 @@ func TestQueueConcurrentProducersConsumers(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
-	q.Close()
+	q.close()
 	consumerWG.Wait()
 
 	count := 0
@@ -229,19 +230,19 @@ func TestQueueFIFOProperty(t *testing.T) {
 		if len(items) == 0 {
 			return true
 		}
-		q := NewQueue[int16](len(items))
+		q := newQueue[int16](len(items))
 		for _, it := range items {
-			if err := q.Put(it); err != nil {
+			if err := q.put(it); err != nil {
 				return false
 			}
 		}
 		for _, want := range items {
-			got, ok := q.Get()
+			got, ok := q.get()
 			if !ok || got != want {
 				return false
 			}
 		}
-		return q.Len() == 0
+		return q.len() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

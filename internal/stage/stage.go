@@ -1,12 +1,13 @@
 // Package stage implements the generic stage-graph runtime both server
 // variants are built on.
 //
-// A Stage couples a bounded pool.Queue with a fixed-size pool.Pool of
-// workers and tracks the per-stage gauges the DSN'09 evaluation reads:
-// queue depth (Figures 7 and 8), busy/spare workers (t_spare), completed
-// items, and shed items. A Graph owns an ordered set of stages, starts
-// them together, drains them in flow order on Stop, and exposes one
-// uniform stats snapshot for harnesses and operational tooling.
+// A Stage couples a bounded synchronized queue with a fixed-size pool of
+// worker goroutines — CherryPy's listener, queue and thread pool — and
+// tracks the per-stage gauges the DSN'09 evaluation reads: queue depth
+// (Figures 7 and 8), busy/spare workers (t_spare), completed items, and
+// shed items. A Graph owns an ordered set of stages, starts them
+// together, drains them in flow order on Stop, and exposes one uniform
+// stats snapshot for harnesses and operational tooling.
 //
 // The paper's fixed five-pool topology (package core) and the
 // thread-per-request baseline (package server) are both expressed as
@@ -17,9 +18,10 @@ package stage
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"stagedweb/internal/metrics"
-	"stagedweb/internal/pool"
 )
 
 // Backpressure selects what Submit does when the stage queue is full.
@@ -57,39 +59,78 @@ type Config[T any] struct {
 }
 
 // Stage is one node of the graph: a bounded queue drained by a fixed
-// worker pool.
+// worker pool. Each worker corresponds to one thread of a CherryPy pool;
+// the busy/spare split is tracked because the paper's dispatcher reads
+// the general stage's spare count (t_spare) on every lengthy-request
+// dispatch.
 type Stage[T any] struct {
-	name   string
-	policy Backpressure
-	queue  *pool.Queue[T]
-	pool   *pool.Pool[T]
-	shed   metrics.Counter
+	name    string
+	policy  Backpressure
+	workers int
+	work    func(T)
+	queue   *queue[T]
+
+	busy      atomic.Int64
+	completed atomic.Int64
+	shed      metrics.Counter
+	wg        sync.WaitGroup
+	started   atomic.Bool
 }
 
-// New builds an unstarted stage. It panics on an invalid configuration,
-// mirroring pool.New.
+// New builds an unstarted stage. It panics on an invalid configuration.
 func New[T any](cfg Config[T]) *Stage[T] {
 	if cfg.Name == "" {
 		panic("stage: empty name")
 	}
+	if cfg.Workers <= 0 {
+		panic(fmt.Sprintf("stage %q: non-positive worker count %d", cfg.Name, cfg.Workers))
+	}
+	if cfg.Work == nil {
+		panic(fmt.Sprintf("stage %q: nil work function", cfg.Name))
+	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 4096
 	}
-	s := &Stage[T]{
-		name:   cfg.Name,
-		policy: cfg.Backpressure,
-		queue:  pool.NewQueue[T](cfg.QueueCap),
+	return &Stage[T]{
+		name:    cfg.Name,
+		policy:  cfg.Backpressure,
+		workers: cfg.Workers,
+		work:    cfg.Work,
+		queue:   newQueue[T](cfg.QueueCap),
 	}
-	s.pool = pool.New(cfg.Name, cfg.Workers, s.queue, cfg.Work)
-	return s
 }
 
 // Start launches the stage workers. It panics if called twice.
-func (s *Stage[T]) Start() { s.pool.Start() }
+func (s *Stage[T]) Start() {
+	if !s.started.CompareAndSwap(false, true) {
+		panic(fmt.Sprintf("stage %q: started twice", s.name))
+	}
+	s.wg.Add(s.workers)
+	for i := 0; i < s.workers; i++ {
+		go s.worker()
+	}
+}
+
+func (s *Stage[T]) worker() {
+	defer s.wg.Done()
+	for {
+		item, ok := s.queue.get()
+		if !ok {
+			return
+		}
+		s.busy.Add(1)
+		s.work(item)
+		s.busy.Add(-1)
+		s.completed.Add(1)
+	}
+}
 
 // Stop closes the stage queue and waits for the workers to drain it and
 // finish in-flight work. Idempotent.
-func (s *Stage[T]) Stop() { s.pool.Stop() }
+func (s *Stage[T]) Stop() {
+	s.queue.close()
+	s.wg.Wait()
+}
 
 // Submit enqueues item following the stage's backpressure policy: Block
 // stages wait for space, Shed stages drop (returning ErrShed) when full.
@@ -98,7 +139,7 @@ func (s *Stage[T]) Submit(item T) error {
 	if s.policy == Shed {
 		return s.Offer(item)
 	}
-	if err := s.queue.Put(item); err != nil {
+	if err := s.queue.put(item); err != nil {
 		return fmt.Errorf("%w: %s", ErrClosed, s.name)
 	}
 	return nil
@@ -108,7 +149,7 @@ func (s *Stage[T]) Submit(item T) error {
 // queue sheds the item (counted, ErrShed); a stopped stage reports
 // ErrClosed.
 func (s *Stage[T]) Offer(item T) error {
-	ok, err := s.queue.TryPut(item)
+	ok, err := s.queue.tryPut(item)
 	if err != nil {
 		return fmt.Errorf("%w: %s", ErrClosed, s.name)
 	}
@@ -123,21 +164,21 @@ func (s *Stage[T]) Offer(item T) error {
 func (s *Stage[T]) Name() string { return s.name }
 
 // Workers reports the configured worker count.
-func (s *Stage[T]) Workers() int { return s.pool.Size() }
+func (s *Stage[T]) Workers() int { return s.workers }
 
 // Busy reports workers currently executing work.
-func (s *Stage[T]) Busy() int { return s.pool.Busy() }
+func (s *Stage[T]) Busy() int { return int(s.busy.Load()) }
 
 // Spare reports idle workers — the paper's t_spare when read on the
 // general dynamic stage.
-func (s *Stage[T]) Spare() int { return s.pool.Spare() }
+func (s *Stage[T]) Spare() int { return max(0, s.workers-s.Busy()) }
 
 // Depth reports the current queue length — the quantity plotted in
 // Figures 7 and 8.
-func (s *Stage[T]) Depth() int { return s.queue.Len() }
+func (s *Stage[T]) Depth() int { return s.queue.len() }
 
 // Completed reports items fully processed by this stage.
-func (s *Stage[T]) Completed() int64 { return s.pool.Completed() }
+func (s *Stage[T]) Completed() int64 { return s.completed.Load() }
 
 // ShedCount reports items dropped on a full queue.
 func (s *Stage[T]) ShedCount() int64 { return s.shed.Value() }
@@ -160,21 +201,16 @@ type Stats struct {
 
 // Stats snapshots the stage's gauges and counters.
 func (s *Stage[T]) Stats() Stats {
-	qs := s.queue.Stats()
-	return Stats{
+	st := Stats{
 		Name:      s.name,
-		Workers:   s.pool.Size(),
-		Busy:      s.pool.Busy(),
-		Spare:     s.pool.Spare(),
-		Depth:     qs.Len,
-		QueueCap:  qs.Cap,
-		MaxDepth:  qs.MaxLen,
-		Enqueued:  qs.Enqueued,
-		Dequeued:  qs.Dequeued,
-		Completed: s.pool.Completed(),
+		Workers:   s.workers,
+		Busy:      s.Busy(),
+		Spare:     s.Spare(),
+		Completed: s.Completed(),
 		Shed:      s.shed.Value(),
-		Closed:    qs.Closed,
 	}
+	s.queue.snapshot(&st)
+	return st
 }
 
 // String renders a compact one-line view, e.g.

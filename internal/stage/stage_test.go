@@ -243,3 +243,137 @@ func assertPanics(t *testing.T, name string, fn func()) {
 	}()
 	fn()
 }
+
+func TestStageSpareTracking(t *testing.T) {
+	s := New(Config[chan struct{}]{Name: "test", Workers: 4, QueueCap: 16,
+		Work: func(release chan struct{}) { <-release }})
+	s.Start()
+	defer s.Stop()
+
+	if got := s.Spare(); got != 4 {
+		t.Fatalf("initial Spare = %d, want 4", got)
+	}
+	releases := make([]chan struct{}, 3)
+	for i := range releases {
+		releases[i] = make(chan struct{})
+		if err := s.Submit(releases[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return s.Busy() == 3 })
+	if got := s.Spare(); got != 1 {
+		t.Fatalf("Spare with 3 busy = %d, want 1", got)
+	}
+	for _, r := range releases {
+		close(r)
+	}
+	waitFor(t, func() bool { return s.Spare() == 4 })
+}
+
+func TestStageStopWaitsForInFlight(t *testing.T) {
+	var finished atomic.Bool
+	started := make(chan struct{})
+	s := New(Config[struct{}]{Name: "test", Workers: 1, QueueCap: 1, Work: func(struct{}) {
+		close(started)
+		time.Sleep(30 * time.Millisecond)
+		finished.Store(true)
+	}})
+	s.Start()
+	if err := s.Submit(struct{}{}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	s.Stop()
+	if !finished.Load() {
+		t.Fatal("Stop returned before in-flight work finished")
+	}
+}
+
+func TestStageStopDrainsQueue(t *testing.T) {
+	var n atomic.Int64
+	s := New(Config[int]{Name: "test", Workers: 2, QueueCap: 64, Work: func(int) { n.Add(1) }})
+	for i := 0; i < 50; i++ {
+		if err := s.Submit(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Start()
+	s.Stop()
+	if got := n.Load(); got != 50 {
+		t.Fatalf("processed %d, want 50 (Stop must drain)", got)
+	}
+}
+
+func TestStageBoundedConcurrency(t *testing.T) {
+	var cur, peak atomic.Int64
+	var mu sync.Mutex
+	s := New(Config[struct{}]{Name: "test", Workers: 3, QueueCap: 128, Work: func(struct{}) {
+		c := cur.Add(1)
+		mu.Lock()
+		if c > peak.Load() {
+			peak.Store(c)
+		}
+		mu.Unlock()
+		time.Sleep(time.Millisecond)
+		cur.Add(-1)
+	}})
+	s.Start()
+	for i := 0; i < 60; i++ {
+		if err := s.Submit(struct{}{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Stop()
+	if got := peak.Load(); got > 3 {
+		t.Fatalf("peak concurrency %d exceeds worker count 3", got)
+	}
+}
+
+func TestStageProcessesAll(t *testing.T) {
+	var sum atomic.Int64
+	s := New(Config[int]{Name: "test", Workers: 4, QueueCap: 16, Work: func(v int) { sum.Add(int64(v)) }})
+	s.Start()
+	total := 0
+	for i := 1; i <= 100; i++ {
+		if err := s.Submit(i); err != nil {
+			t.Fatal(err)
+		}
+		total += i
+	}
+	s.Stop()
+	if got := sum.Load(); got != int64(total) {
+		t.Fatalf("sum = %d, want %d", got, total)
+	}
+	if got := s.Completed(); got != 100 {
+		t.Fatalf("Completed = %d, want 100", got)
+	}
+}
+
+func TestStageDoubleStartPanics(t *testing.T) {
+	s := New(Config[int]{Name: "test", Workers: 1, QueueCap: 1, Work: func(int) {}})
+	s.Start()
+	defer s.Stop()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("double Start did not panic")
+		}
+	}()
+	s.Start()
+}
+
+func TestStageInvalidConfigPanics(t *testing.T) {
+	for name, fn := range map[string]func(){
+		"zero size":     func() { New(Config[int]{Name: "x", QueueCap: 1, Work: func(int) {}}) },
+		"negative size": func() { New(Config[int]{Name: "x", Workers: -1, QueueCap: 1, Work: func(int) {}}) },
+		"nil work":      func() { New(Config[int]{Name: "x", Workers: 1, QueueCap: 1}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}

@@ -8,11 +8,12 @@ import (
 	"time"
 )
 
-// Settings is the generic key=value configuration surface of a variant:
-// what `-set key=value` sets on the command line, what scenario
-// mutations override in a sweep, and what the harness's typed sizing
-// fields lower into. Values are strings; builders decode them through a
-// Decoder, which makes unknown explicit keys build errors.
+// Settings is the generic key=value configuration surface of a variant
+// and the only way a run is configured: what `-set key=value` sets on
+// the command line, what scenario mutations and sweep axes write, and
+// what the harness carries as advisory per-topology defaults. Values are
+// strings; builders decode them through a Decoder, which makes unknown
+// explicit keys build errors.
 type Settings map[string]string
 
 // Clone returns an independent copy (nil stays nil).
