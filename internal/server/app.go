@@ -151,11 +151,11 @@ func RenderResult(app App, res *Result) (body []byte, contentType string, status
 	case res.Body != "":
 		return []byte(res.Body), contentType, status, nil
 	case res.Template != "":
-		out, rerr := app.Templates().Render(res.Template, res.Data)
+		out, rerr := app.Templates().AppendRender(nil, res.Template, res.Data)
 		if rerr != nil {
 			return nil, "", 0, fmt.Errorf("render %q: %w", res.Template, rerr)
 		}
-		return []byte(out), contentType, status, nil
+		return out, contentType, status, nil
 	default:
 		return nil, contentType, status, nil
 	}

@@ -276,6 +276,39 @@ func TestLookupIndexStableSnapshot(t *testing.T) {
 	}
 }
 
+// TestLookupIndexConcurrentInsert races an MVCC reader probing the
+// h_group hash index against a writer adding new h_group values. MVCC
+// SELECTs take no table lock, so the bucket read in lookupIndex must sit
+// under idxMu; under -race a probe outside it reports a concurrent map
+// read and write.
+func TestLookupIndexConcurrentInsert(t *testing.T) {
+	db, c := mvccTestDB(t, true)
+	const inserts = 200
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		w := db.Connect()
+		defer w.Close()
+		for i := 0; i < inserts; i++ {
+			if _, err := w.Exec("INSERT INTO hot (h_id, h_group, h_val) VALUES (?, ?, ?)", 1000+i, 2+i, 0); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < inserts; i++ {
+		rs, err := c.Query("SELECT h_id FROM hot WHERE h_group = ?", 2+i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := rs.Len(); n > 1 {
+			t.Fatalf("h_group %d matched %d rows, want at most 1", 2+i, n)
+		}
+	}
+	wg.Wait()
+}
+
 // TestStmtCacheLRU pins the satellite fix: non-parameterized SQL cannot
 // grow the statement cache without bound, and hit/miss counters work.
 func TestStmtCacheLRU(t *testing.T) {

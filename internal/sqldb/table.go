@@ -174,10 +174,14 @@ func (v tableView) lookupIndex(col string, val Value) (ids []int, visited int, o
 	t := v.tbl
 	t.idxMu.RLock()
 	idx, hok := t.indexes[col]
+	if hok {
+		// The bucket probe must stay under idxMu: hashIndex.add writes
+		// the same map under the write lock.
+		ids = idx.m[val]
+	}
 	oidx, ook := t.ordered[col]
 	t.idxMu.RUnlock()
 	if hok {
-		ids = idx.m[val]
 		return ids, len(ids), true
 	}
 	if ook {

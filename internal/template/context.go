@@ -9,12 +9,24 @@ import (
 // Context carries the data a template is rendered with — the paper's
 // "dictionary (a.k.a. hashtable) used to render the template". It is a
 // scope stack: tags like {% for %} and {% with %} push a scope for their
-// body and pop it afterwards.
+// body and pop it afterwards. The outermost scope is the caller's data
+// map; inner scopes live on one flat binding stack, so pushing a scope
+// allocates nothing.
 //
-// A Context is not safe for concurrent use; the rendering pool gives each
-// render its own Context.
+// A Context is not safe for concurrent use. A render takes its Context
+// from a pool and reuses it afterwards, so a Context (and the forloop
+// values bound in it) is valid only during the render and the filter
+// calls it makes.
 type Context struct {
-	scopes []map[string]any
+	data  map[string]any
+	binds []binding // inner-scope bindings, outermost first
+	marks []int     // start index in binds of each pushed scope
+}
+
+// binding is one name bound in an inner scope.
+type binding struct {
+	name  string
+	value any
 }
 
 // NewContext returns a context whose outermost scope is data (may be nil).
@@ -22,36 +34,65 @@ func NewContext(data map[string]any) *Context {
 	if data == nil {
 		data = map[string]any{}
 	}
-	return &Context{scopes: []map[string]any{data}}
+	return &Context{data: data}
 }
 
 // Push adds an inner scope.
 func (c *Context) Push() {
-	c.scopes = append(c.scopes, map[string]any{})
+	c.marks = append(c.marks, len(c.binds))
 }
 
 // Pop removes the innermost scope. Popping the outermost scope panics —
 // that is always a programming error in a tag implementation.
 func (c *Context) Pop() {
-	if len(c.scopes) == 1 {
+	if len(c.marks) == 0 {
 		panic("template: popped outermost context scope")
 	}
-	c.scopes = c.scopes[:len(c.scopes)-1]
+	top := c.marks[len(c.marks)-1]
+	clear(c.binds[top:])
+	c.binds = c.binds[:top]
+	c.marks = c.marks[:len(c.marks)-1]
 }
 
 // Set binds name in the innermost scope.
 func (c *Context) Set(name string, value any) {
-	c.scopes[len(c.scopes)-1][name] = value
+	if len(c.marks) == 0 {
+		c.data[name] = value
+		return
+	}
+	for i := c.marks[len(c.marks)-1]; i < len(c.binds); i++ {
+		if c.binds[i].name == name {
+			c.binds[i].value = value
+			return
+		}
+	}
+	c.bind(name, value)
+}
+
+// bind appends a binding to the innermost pushed scope and returns its
+// slot, which the caller may update in place while the scope is live.
+// The caller guarantees name is not already bound in that scope.
+func (c *Context) bind(name string, value any) int {
+	c.binds = append(c.binds, binding{name, value})
+	return len(c.binds) - 1
 }
 
 // Lookup finds name, innermost scope first.
 func (c *Context) Lookup(name string) (any, bool) {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if v, ok := c.scopes[i][name]; ok {
-			return v, true
+	for i := len(c.binds) - 1; i >= 0; i-- {
+		if c.binds[i].name == name {
+			return c.binds[i].value, true
 		}
 	}
-	return nil, false
+	v, ok := c.data[name]
+	return v, ok
+}
+
+// reset empties the context for reuse with data, dropping references to
+// the previous render's values.
+func (c *Context) reset(data map[string]any) {
+	clear(c.binds)
+	c.data, c.binds, c.marks = data, c.binds[:0], c.marks[:0]
 }
 
 // resolveAttr resolves one step of a dotted variable path against value:
@@ -59,8 +100,13 @@ func (c *Context) Lookup(name string) (any, bool) {
 // Missing attributes resolve to nil (Django's silent-failure semantics)
 // so a template never crashes a render over absent data.
 func resolveAttr(value any, attr string) any {
-	if value == nil {
+	switch v := value.(type) {
+	case nil:
 		return nil
+	case map[string]any:
+		return v[attr]
+	case *forloop:
+		return v.attr(attr)
 	}
 	rv := reflect.ValueOf(value)
 	// A no-arg method on the value or pointer takes priority, mirroring
@@ -111,35 +157,77 @@ type Safe string
 
 // HTMLEscape escapes the five characters that are special in HTML.
 func HTMLEscape(s string) string {
-	// Fast path: nothing to escape.
-	clean := true
+	if htmlClean(s) {
+		return s
+	}
+	return string(appendEscaped(make([]byte, 0, len(s)+16), s))
+}
+
+// htmlClean reports whether s has nothing to escape.
+func htmlClean(s string) bool {
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '&', '<', '>', '"', '\'':
-			clean = false
+			return false
 		}
 	}
-	if clean {
-		return s
-	}
-	buf := make([]byte, 0, len(s)+16)
+	return true
+}
+
+// appendEscaped appends s to dst with the HTML specials escaped.
+func appendEscaped(dst []byte, s string) []byte {
+	last := 0
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
+		var esc string
+		switch s[i] {
 		case '&':
-			buf = append(buf, "&amp;"...)
+			esc = "&amp;"
 		case '<':
-			buf = append(buf, "&lt;"...)
+			esc = "&lt;"
 		case '>':
-			buf = append(buf, "&gt;"...)
+			esc = "&gt;"
 		case '"':
-			buf = append(buf, "&quot;"...)
+			esc = "&quot;"
 		case '\'':
-			buf = append(buf, "&#39;"...)
+			esc = "&#39;"
 		default:
-			buf = append(buf, c)
+			continue
 		}
+		dst = append(append(dst, s[last:i]...), esc...)
+		last = i + 1
 	}
-	return string(buf)
+	return append(dst, s[last:]...)
+}
+
+// appendValue appends v's display string, HTML-escaped unless v is Safe.
+// It is the {{ }} output path: strings and numbers go straight into dst
+// without an intermediate string.
+func appendValue(dst []byte, v any) []byte {
+	switch t := v.(type) {
+	case nil:
+		return dst
+	case string:
+		return appendEscaped(dst, t)
+	case Safe:
+		return append(dst, t...)
+	case bool:
+		if t {
+			return append(dst, "True"...)
+		}
+		return append(dst, "False"...)
+	case int:
+		return strconv.AppendInt(dst, int64(t), 10)
+	case int64:
+		return strconv.AppendInt(dst, t, 10)
+	case int32:
+		return strconv.AppendInt(dst, int64(t), 10)
+	case float64:
+		return appendFloat(dst, t)
+	case float32:
+		return appendFloat(dst, float64(t))
+	default:
+		return appendEscaped(dst, Stringify(v))
+	}
 }
 
 // Stringify converts a template value to its display string.
@@ -178,8 +266,13 @@ func Stringify(v any) string {
 // formatFloat renders floats the way Django does: integral values without
 // a decimal point become "5.0"-style only when genuinely fractional.
 func formatFloat(f float64) string {
+	var buf [32]byte
+	return string(appendFloat(buf[:0], f))
+}
+
+func appendFloat(dst []byte, f float64) []byte {
 	if f == float64(int64(f)) {
-		return strconv.FormatInt(int64(f), 10) + ".0"
+		return append(strconv.AppendInt(dst, int64(f), 10), ".0"...)
 	}
-	return strconv.FormatFloat(f, 'g', -1, 64)
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
 }

@@ -68,6 +68,9 @@ var builtinFilters = map[string]FilterFunc{
 		return strings.ToLower(Stringify(v)), nil
 	}),
 	"title": noArg("title", func(v any) (any, error) {
+		if s, ok := v.(string); ok && isTitled(s) {
+			return v, nil
+		}
 		words := strings.Fields(Stringify(v))
 		for i, w := range words {
 			words[i] = capitalizeASCII(w)
@@ -240,6 +243,9 @@ var builtinFilters = map[string]FilterFunc{
 		return suffixes[1], nil
 	},
 	"urlencode": noArg("urlencode", func(v any) (any, error) {
+		if s, ok := v.(string); ok && urlSafe(s) {
+			return v, nil
+		}
 		return urlEscape(Stringify(v)), nil
 	}),
 	"cut": func(v any, arg any, hasArg bool) (any, error) {
@@ -304,6 +310,29 @@ func capitalizeASCII(s string) string {
 	return s
 }
 
+// isTitled reports whether the title filter would return s unchanged:
+// ASCII words separated by single spaces, none starting with a-z.
+// Anything else (other whitespace, non-ASCII bytes that might be
+// Unicode spaces) takes the general path.
+func isTitled(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= 0x80, c == '\t', c == '\n', c == '\v', c == '\f', c == '\r':
+			return false
+		case c == ' ':
+			if i == 0 || i == len(s)-1 || s[i+1] == ' ' {
+				return false
+			}
+		case 'a' <= c && c <= 'z':
+			if i == 0 || s[i-1] == ' ' {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func elemAt(v any, i int) any {
 	switch t := v.(type) {
 	case nil:
@@ -324,13 +353,28 @@ func elemAt(v any, i int) any {
 	return nil
 }
 
+// urlUnreserved reports whether urlencode passes c through unescaped.
+func urlUnreserved(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
+		c == '-' || c == '_' || c == '.' || c == '~' || c == '/'
+}
+
+// urlSafe reports whether urlencode would return s unchanged.
+func urlSafe(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !urlUnreserved(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func urlEscape(s string) string {
 	const hexDigits = "0123456789ABCDEF"
 	var sb strings.Builder
 	for i := 0; i < len(s); i++ {
 		c := s[i]
-		if 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
-			c == '-' || c == '_' || c == '.' || c == '~' || c == '/' {
+		if urlUnreserved(c) {
 			sb.WriteByte(c)
 		} else {
 			sb.WriteByte('%')

@@ -254,3 +254,42 @@ func TestFilterRegisterInvalid(t *testing.T) {
 		}()
 	}
 }
+
+// Property: the title and urlencode identity paths return exactly what
+// the general computation would, over strings drawn from an alphabet
+// rich in the bytes that decide the fast path.
+func TestFilterIdentityPathsMatchGeneral(t *testing.T) {
+	alphabet := []string{"a", "z", "A", "Q", "-", " ", "  ", "\t", "\n", " ", " ", "é", "/", "%", "&", "7", "_", "~", "."}
+	title, _ := NewFilterSet().Get("title")
+	urlencode, _ := NewFilterSet().Get("urlencode")
+	f := func(picks []uint8) bool {
+		var sb strings.Builder
+		for _, p := range picks {
+			sb.WriteString(alphabet[int(p)%len(alphabet)])
+		}
+		s := sb.String()
+		got, err := title(s, nil, false)
+		if err != nil || got != capitalizeWords(s) {
+			t.Logf("title(%q) = %q", s, got)
+			return false
+		}
+		got, err = urlencode(s, nil, false)
+		if err != nil || got != urlEscape(s) {
+			t.Logf("urlencode(%q) = %q", s, got)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// capitalizeWords is the title filter's general computation.
+func capitalizeWords(s string) string {
+	words := strings.Fields(s)
+	for i, w := range words {
+		words[i] = capitalizeASCII(w)
+	}
+	return strings.Join(words, " ")
+}

@@ -2,7 +2,6 @@ package template
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 )
 
@@ -100,33 +99,81 @@ func (s *Set) Render(name string, data map[string]any) (string, error) {
 	return t.Render(data)
 }
 
+// AppendRender renders the named template with data and appends the
+// output to dst. On error dst is returned unchanged.
+func (s *Set) AppendRender(dst []byte, name string, data map[string]any) ([]byte, error) {
+	t, err := s.Get(name)
+	if err != nil {
+		return dst, err
+	}
+	st, err := t.render(data)
+	defer putState(st)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, st.out...), nil
+}
+
 // Render renders the template with data, resolving {% extends %} chains
 // and {% include %} references through the owning set.
 func (t *Template) Render(data map[string]any) (string, error) {
-	ctx := NewContext(data)
-	var sb strings.Builder
-	st := &renderState{set: t.set}
-	if err := t.renderInto(st, ctx, &sb); err != nil {
+	st, err := t.render(data)
+	defer putState(st)
+	if err != nil {
 		return "", err
 	}
-	return sb.String(), nil
+	return string(st.out), nil
+}
+
+// statePool recycles render states: their Context binding stack,
+// forloops and output buffer survive from one render to the next, so a
+// steady-state render allocates only what its filters and values need.
+var statePool = sync.Pool{New: func() any { return new(renderState) }}
+
+// maxPooledOutput bounds the output buffer a pooled state keeps, so one
+// huge page does not pin its buffer for the life of the pool.
+const maxPooledOutput = 64 << 10
+
+// render runs t on a pooled state; the caller copies st.out and returns
+// the state with putState.
+func (t *Template) render(data map[string]any) (*renderState, error) {
+	st := statePool.Get().(*renderState)
+	st.set = t.set
+	st.ctx.reset(data)
+	return st, t.renderInto(st)
+}
+
+func putState(st *renderState) {
+	st.ctx.reset(nil)
+	clear(st.overrides[:])
+	for _, l := range st.loops {
+		l.parent = nil
+	}
+	st.set = nil
+	st.base, st.n, st.depth, st.loopDepth = 0, 0, 0, 0
+	if cap(st.out) > maxPooledOutput {
+		st.out = nil
+	}
+	st.out = st.out[:0]
+	statePool.Put(st)
 }
 
 // renderInto walks the inheritance chain: each {% extends %} pushes the
 // child's blocks as overrides and delegates rendering to the parent.
-func (t *Template) renderInto(st *renderState, ctx *Context, sb *strings.Builder) error {
+func (t *Template) renderInto(st *renderState) error {
 	cur := t
 	for cur.extends != "" {
 		if st.depth >= maxRenderDepth {
 			return fmt.Errorf("template: extends depth exceeds %d (cycle?)", maxRenderDepth)
 		}
 		st.depth++
-		st.overrides = append(st.overrides, cur.blocks)
+		st.overrides[st.n] = cur.blocks
+		st.n++
 		parent, err := st.set.Get(cur.extends)
 		if err != nil {
 			return fmt.Errorf("extends: %w", err)
 		}
 		cur = parent
 	}
-	return cur.nodes.render(st, ctx, sb)
+	return cur.nodes.render(st)
 }

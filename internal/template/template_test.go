@@ -423,3 +423,19 @@ func TestStringLiteralWithSpaces(t *testing.T) {
 		t.Fatalf("got %q", got)
 	}
 }
+
+func TestAppendRender(t *testing.T) {
+	s := NewSet()
+	s.Add("ok", "<p>{{ v }}</p>")
+	s.Add("bad", `<p>{% include "missing" %}</p>`)
+	got, err := s.AppendRender([]byte("<!--x-->"), "ok", map[string]any{"v": "a&b"})
+	if err != nil || string(got) != "<!--x--><p>a&amp;b</p>" {
+		t.Fatalf("AppendRender = %q, %v", got, err)
+	}
+	for _, name := range []string{"bad", "absent"} {
+		got, err := s.AppendRender([]byte("keep"), name, nil)
+		if err == nil || string(got) != "keep" {
+			t.Fatalf("AppendRender(%s) = %q, %v; want dst unchanged and an error", name, got, err)
+		}
+	}
+}
