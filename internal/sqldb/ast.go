@@ -1,8 +1,8 @@
 package sqldb
 
-// The statement AST. Statements are immutable after parsing, so the DB
-// caches them by SQL text (the prepared-statement effect the paper gets
-// from per-thread connections).
+// The statement AST. A statement is parsed once per SQL text and planned
+// into a prepared form (plan.go), which the DB caches by SQL text — the
+// prepared-statement effect the paper gets from per-thread connections.
 
 // stmt is any parsed statement.
 type stmt interface{ isStmt() }
@@ -132,12 +132,6 @@ type selectStmt struct {
 	OrderBy []orderKey
 	Limit   int // -1 when absent
 	Offset  int
-
-	// plan is the physical plan chosen at prepare time, immutable once
-	// the statement is published through the cache. Nil for statements
-	// executed without preparation (direct parse in tests); the executor
-	// plans those on the fly.
-	plan *selectPlan
 }
 
 // explainStmt is "EXPLAIN SELECT ...": it never executes, it renders

@@ -51,23 +51,8 @@ func TestScanCostsMoreThanProbe(t *testing.T) {
 	}
 	m := DefaultCostModel()
 
-	probeCtx := &execCtx{args: []Value{int64(42)}}
-	s, err := parseSQL("SELECT i_title FROM item WHERE i_id = ?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.execSelect(s.(*selectStmt), probeCtx); err != nil {
-		t.Fatal(err)
-	}
-
-	scanCtx := &execCtx{args: []Value{"%x%"}}
-	s2, err := parseSQL("SELECT i_title FROM item WHERE i_title LIKE ?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.execSelect(s2.(*selectStmt), scanCtx); err != nil {
-		t.Fatal(err)
-	}
+	probeCtx := runCharged(t, db, "SELECT i_title FROM item WHERE i_id = ?", int64(42))
+	scanCtx := runCharged(t, db, "SELECT i_title FROM item WHERE i_title LIKE ?", "%x%")
 
 	probeCost := probeCtx.cost.total(m)
 	scanCost := scanCtx.cost.total(m)
@@ -82,6 +67,23 @@ func TestScanCostsMoreThanProbe(t *testing.T) {
 	if scanCost < 500*time.Millisecond {
 		t.Fatalf("scan too fast for the paper's slow-page class: %v", scanCost)
 	}
+}
+
+// runCharged prepares and runs one SELECT and returns its execution
+// context, whose cost counter holds the work the statement was charged.
+func runCharged(t *testing.T, db *DB, sql string, args ...any) *execCtx {
+	t.Helper()
+	p, err := db.prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := p.(*selectPlan)
+	ec, err := newExecCtx(args, &sel.args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.execSelect(sel, ec)
+	return ec
 }
 
 // TestChargeSleepsScaled verifies the engine sleeps the modeled cost
@@ -199,15 +201,7 @@ func TestIndexedEqualityChargesLess(t *testing.T) {
 
 			charge := func(sql string, arg int64) time.Duration {
 				t.Helper()
-				s, err := parseSQL(sql)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ctx := &execCtx{args: []Value{arg}}
-				if _, err := db.execSelect(s.(*selectStmt), ctx); err != nil {
-					t.Fatal(err)
-				}
-				return ctx.cost.total(m)
+				return runCharged(t, db, sql, arg).cost.total(m)
 			}
 
 			scanHit := charge("SELECT id FROM t WHERE val = ?", 7)

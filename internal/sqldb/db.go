@@ -356,30 +356,41 @@ func (db *DB) lookupTable(name string) (*table, error) {
 }
 
 // prepare parses and plans SQL through the per-DB bounded statement
-// cache. Cached entries are keyed by the index epoch they were planned
+// cache. Everything about the statement's shape is resolved here, once:
+// a cache hit only binds arguments and runs the plan. A statement that
+// fails to plan (an unknown table or column, a mistyped literal) is not
+// cached. Cached entries are keyed by the index epoch they were planned
 // under: a CreateIndex bumps the epoch, so the next execution of a
 // cached statement replans instead of running a stale access path.
-func (db *DB) prepare(sql string) (stmt, error) {
+func (db *DB) prepare(sql string) (prepared, error) {
 	epoch := db.idxEpoch.Load()
-	if s, ok := db.stmts.get(sql, epoch); ok {
-		return s, nil
+	if p, ok := db.stmts.get(sql, epoch); ok {
+		return p, nil
 	}
 	s, err := parseSQL(sql)
 	if err != nil {
 		return nil, err
 	}
+	var p prepared
 	switch t := s.(type) {
 	case *selectStmt:
-		if t.plan, err = db.planSelect(t); err != nil {
-			return nil, err
-		}
+		p, err = db.planSelect(t)
 	case *explainStmt:
-		if t.Sel.plan, err = db.planSelect(t.Sel); err != nil {
-			return nil, err
-		}
+		var sel *selectPlan
+		sel, err = db.planSelect(t.Sel)
+		p = &explainPlan{sel: sel}
+	case *insertStmt:
+		p, err = db.planInsert(t)
+	case *updateStmt:
+		p, err = db.planWrite(t.Table, t.Where, t.Cols, t.Vals, false)
+	case *deleteStmt:
+		p, err = db.planWrite(t.Table, t.Where, nil, nil, true)
 	}
-	db.stmts.put(sql, s, epoch)
-	return s, nil
+	if err != nil {
+		return nil, err
+	}
+	db.stmts.put(sql, p, epoch)
+	return p, nil
 }
 
 // chargeCost sleeps the statement's modeled latency (converted through
@@ -479,19 +490,19 @@ func (c *Conn) Query(sql string, args ...any) (*ResultSet, error) {
 	defer func() { c.db.queryTime.Observe(c.db.clk.Since(start)) }()
 	c.db.queries.Inc()
 
-	s, err := c.db.prepare(sql)
+	p, err := c.db.prepare(sql)
 	if err != nil {
 		return nil, err
 	}
-	switch t := s.(type) {
-	case *selectStmt:
-		ec, err := newExecCtx(args)
+	switch t := p.(type) {
+	case *selectPlan:
+		ec, err := newExecCtx(args, &t.args)
 		if err != nil {
 			return nil, err
 		}
-		return c.db.execSelect(t, ec)
-	case *explainStmt:
-		return t.Sel.plan.resultSet(), nil
+		return c.db.execSelect(t, ec), nil
+	case *explainPlan:
+		return t.sel.resultSet(), nil
 	default:
 		return nil, fmt.Errorf("sqldb: Query requires SELECT, got %q", sql)
 	}
@@ -520,26 +531,31 @@ func (c *Conn) Exec(sql string, args ...any) (ExecResult, error) {
 	defer func() { c.db.queryTime.Observe(c.db.clk.Since(start)) }()
 	c.db.queries.Inc()
 
-	s, err := c.db.prepare(sql)
+	p, err := c.db.prepare(sql)
 	if err != nil {
 		return ExecResult{}, err
 	}
-	ec, err := newExecCtx(args)
+	var spec *argSpec
+	switch t := p.(type) {
+	case *insertPlan:
+		spec = &t.args
+	case *writePlan:
+		spec = &t.args
+	default:
+		return ExecResult{}, fmt.Errorf("sqldb: Exec requires INSERT/UPDATE/DELETE, got %q", sql)
+	}
+	ec, err := newExecCtx(args, spec)
 	if err != nil {
 		return ExecResult{}, err
 	}
 	ec.sql = sql
 	for attempt := 0; ; attempt++ {
 		var res ExecResult
-		switch t := s.(type) {
-		case *insertStmt:
+		switch t := p.(type) {
+		case *insertPlan:
 			res, err = c.db.execInsert(t, ec)
-		case *updateStmt:
-			res, err = c.db.execUpdate(t, ec)
-		case *deleteStmt:
-			res, err = c.db.execDelete(t, ec)
-		default:
-			return ExecResult{}, fmt.Errorf("sqldb: Exec requires INSERT/UPDATE/DELETE, got %q", sql)
+		case *writePlan:
+			res, err = c.db.execWrite(t, ec)
 		}
 		if errors.Is(err, ErrWriteConflict) && attempt < maxConflictRetries {
 			continue
@@ -548,19 +564,9 @@ func (c *Conn) Exec(sql string, args ...any) (ExecResult, error) {
 	}
 }
 
-func newExecCtx(args []any) (*execCtx, error) {
-	vals := make([]Value, len(args))
-	for i, a := range args {
-		v, err := normalize(a)
-		if err != nil {
-			return nil, fmt.Errorf("sqldb: argument %d: %w", i+1, err)
-		}
-		vals[i] = v
-	}
-	return &execCtx{args: vals}, nil
-}
-
-// ResultSet is a fully materialized query result.
+// ResultSet is a fully materialized query result. Columns is shared
+// with the prepared statement and every other result of it: read it,
+// do not modify it.
 type ResultSet struct {
 	Columns []string
 	Rows    [][]Value

@@ -1,211 +1,59 @@
 package sqldb
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// binding is one table instance participating in a SELECT (FROM or JOIN),
-// addressed by its alias. view is the snapshot the statement reads the
-// table at: the latest state in lock mode (where the table lock
-// serializes access), a fixed commit timestamp under MVCC.
-type binding struct {
-	ref  tableRef
-	tbl  *table
-	view tableView
-}
-
-// bindViews captures a read view of every binding at ts.
-func bindViews(bindings []binding, ts int64) {
-	for i := range bindings {
-		bindings[i].view = bindings[i].tbl.view(ts)
-	}
-}
-
-// execCtx carries per-statement state.
+// execCtx carries the state of one statement execution: the bound
+// arguments, the work done (for the cost model), and scratch indexed by
+// binding — the read view, the row bound at that join depth, a one-slot
+// buffer for primary-key hits, and whether the join step has counted
+// its access path. Statements over at most four tables use the inline
+// arrays, so a cache hit allocates no per-binding scratch.
 type execCtx struct {
 	args []Value
 	cost costCounter
 	// sql is the original statement text, kept for the DML apply hook.
 	sql string
+
+	views   []tableView
+	rows    [][]Value
+	pkHit   [][1]int
+	counted []bool
+
+	viewBuf  [4]tableView
+	rowBuf   [4][]Value
+	pkBuf    [4][1]int
+	countBuf [4]bool
 }
 
-// resolveBindings maps the FROM/JOIN clauses onto tables.
-func (db *DB) resolveBindings(s *selectStmt) ([]binding, error) {
-	refs := append([]tableRef{s.From}, make([]tableRef, 0, len(s.Joins))...)
-	for _, j := range s.Joins {
-		refs = append(refs, j.Table)
-	}
-	bindings := make([]binding, len(refs))
-	seen := make(map[string]bool, len(refs))
-	for i, ref := range refs {
-		tbl, err := db.lookupTable(ref.Table)
+// newExecCtx normalizes one execution's arguments and binds them
+// against the statement's argument contract.
+func newExecCtx(args []any, spec *argSpec) (*execCtx, error) {
+	vals := make([]Value, len(args))
+	for i, a := range args {
+		v, err := normalize(a)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("sqldb: argument %d: %w", i+1, err)
 		}
-		name := ref.name()
-		if seen[name] {
-			return nil, fmt.Errorf("sqldb: duplicate table alias %q", name)
-		}
-		seen[name] = true
-		bindings[i] = binding{ref: ref, tbl: tbl}
+		vals[i] = v
 	}
-	return bindings, nil
+	if err := spec.bind(vals); err != nil {
+		return nil, err
+	}
+	return &execCtx{args: vals}, nil
 }
 
-// resolveCol locates a column reference among the bindings.
-func resolveCol(bindings []binding, ref colRef) (bindIdx, colIdx int, err error) {
-	if ref.Table != "" {
-		for bi, b := range bindings {
-			if b.ref.name() == ref.Table {
-				ci := b.tbl.schema.colIndex(ref.Column)
-				if ci < 0 {
-					return 0, 0, fmt.Errorf("sqldb: table %q has no column %q", ref.Table, ref.Column)
-				}
-				return bi, ci, nil
-			}
-		}
-		return 0, 0, fmt.Errorf("sqldb: unknown table %q in column reference", ref.Table)
+// bindViews captures a read view of every bound table at ts and sizes
+// the per-binding scratch.
+func (ec *execCtx) bindViews(binds []boundTable, ts int64) {
+	n := len(binds)
+	if n <= len(ec.viewBuf) {
+		ec.views, ec.rows, ec.pkHit, ec.counted = ec.viewBuf[:n], ec.rowBuf[:n], ec.pkBuf[:n], ec.countBuf[:n]
+	} else {
+		ec.views, ec.rows, ec.pkHit, ec.counted = make([]tableView, n), make([][]Value, n), make([][1]int, n), make([]bool, n)
 	}
-	found := -1
-	for bi, b := range bindings {
-		if ci := b.tbl.schema.colIndex(ref.Column); ci >= 0 {
-			if found >= 0 {
-				return 0, 0, fmt.Errorf("sqldb: ambiguous column %q", ref.Column)
-			}
-			found = bi
-			colIdx = ci
-		}
-	}
-	if found < 0 {
-		return 0, 0, fmt.Errorf("sqldb: unknown column %q", ref.Column)
-	}
-	return found, colIdx, nil
-}
-
-// operandValue evaluates an operand against the current combined row
-// (rows may be nil for row-independent evaluation).
-func operandValue(op operand, bindings []binding, rows [][]Value, ec *execCtx) (Value, error) {
-	switch {
-	case op.IsLit:
-		return op.Lit, nil
-	case op.IsPlacehold:
-		if op.Placeholder >= len(ec.args) {
-			return nil, fmt.Errorf("sqldb: missing argument for placeholder %d", op.Placeholder+1)
-		}
-		return ec.args[op.Placeholder], nil
-	default:
-		if rows == nil {
-			return nil, fmt.Errorf("sqldb: column %s in row-independent position", op.Col)
-		}
-		bi, ci, err := resolveCol(bindings, op.Col)
-		if err != nil {
-			return nil, err
-		}
-		return rows[bi][ci], nil
-	}
-}
-
-// evalBool evaluates a WHERE tree against the combined row.
-func evalBool(e boolExpr, bindings []binding, rows [][]Value, ec *execCtx) (bool, error) {
-	switch t := e.(type) {
-	case andExpr:
-		l, err := evalBool(t.L, bindings, rows, ec)
-		if err != nil || !l {
-			return false, err
-		}
-		return evalBool(t.R, bindings, rows, ec)
-	case orExpr:
-		l, err := evalBool(t.L, bindings, rows, ec)
-		if err != nil || l {
-			return l, err
-		}
-		return evalBool(t.R, bindings, rows, ec)
-	case notExpr:
-		v, err := evalBool(t.E, bindings, rows, ec)
-		return !v, err
-	case cmpExpr:
-		bi, ci, err := resolveCol(bindings, t.Col)
-		if err != nil {
-			return false, err
-		}
-		lhs := rows[bi][ci]
-		rhs, err := operandValue(t.Rhs, bindings, rows, ec)
-		if err != nil {
-			return false, err
-		}
-		if lhs == nil || rhs == nil {
-			// SQL three-valued logic degraded to false, except
-			// equality-with-null which is still false.
-			return false, nil
-		}
-		c, err := compare(lhs, rhs)
-		if err != nil {
-			return false, err
-		}
-		switch t.Op {
-		case "=":
-			return c == 0, nil
-		case "!=":
-			return c != 0, nil
-		case "<":
-			return c < 0, nil
-		case "<=":
-			return c <= 0, nil
-		case ">":
-			return c > 0, nil
-		case ">=":
-			return c >= 0, nil
-		default:
-			return false, fmt.Errorf("sqldb: unknown operator %q", t.Op)
-		}
-	case likeExpr:
-		bi, ci, err := resolveCol(bindings, t.Col)
-		if err != nil {
-			return false, err
-		}
-		rhs, err := operandValue(t.Rhs, bindings, rows, ec)
-		if err != nil {
-			return false, err
-		}
-		s, ok1 := rows[bi][ci].(string)
-		pat, ok2 := rhs.(string)
-		if !ok1 || !ok2 {
-			return false, nil
-		}
-		m := likeMatch(s, pat)
-		if t.Neg {
-			m = !m
-		}
-		return m, nil
-	case inExpr:
-		bi, ci, err := resolveCol(bindings, t.Col)
-		if err != nil {
-			return false, err
-		}
-		lhs := rows[bi][ci]
-		for _, op := range t.Set {
-			rhs, err := operandValue(op, bindings, rows, ec)
-			if err != nil {
-				return false, err
-			}
-			if valuesEqual(lhs, rhs) {
-				return !t.Neg, nil
-			}
-		}
-		return t.Neg, nil
-	case nullExpr:
-		bi, ci, err := resolveCol(bindings, t.Col)
-		if err != nil {
-			return false, err
-		}
-		isNull := rows[bi][ci] == nil
-		if t.Neg {
-			return !isNull, nil
-		}
-		return isNull, nil
-	default:
-		return false, fmt.Errorf("sqldb: unknown boolean expression %T", e)
+	clear(ec.counted)
+	for i, b := range binds {
+		ec.views[i] = b.tbl.view(ts)
 	}
 }
 
@@ -232,28 +80,17 @@ type rowWrite struct {
 	row []Value
 }
 
-func (db *DB) execInsert(s *insertStmt, ec *execCtx) (ExecResult, error) {
-	tbl, err := db.lookupTable(s.Table)
-	if err != nil {
-		return ExecResult{}, err
-	}
+func (db *DB) execInsert(p *insertPlan, ec *execCtx) (ExecResult, error) {
+	tbl := p.tbl
 	row := make([]Value, len(tbl.schema.Columns))
-	for i, col := range s.Cols {
-		ci := tbl.schema.colIndex(col)
-		if ci < 0 {
-			return ExecResult{}, fmt.Errorf("sqldb: table %q has no column %q", s.Table, col)
-		}
-		v, err := operandValue(s.Values[i], nil, nil, ec)
+	for i, ci := range p.cols {
+		nv, err := normalize(argValue(p.vals[i], ec.args))
 		if err != nil {
 			return ExecResult{}, err
 		}
-		nv, err := normalize(v)
-		if err != nil {
-			return ExecResult{}, err
-		}
-		if !tbl.schema.Columns[ci].Type.accepts(nv) {
+		if col := tbl.schema.Columns[ci]; !col.Type.accepts(nv) {
 			return ExecResult{}, fmt.Errorf("sqldb: column %s.%s (%s) rejects %T",
-				s.Table, col, tbl.schema.Columns[ci].Type, nv)
+				tbl.schema.Table, col.Name, col.Type, nv)
 		}
 		row[ci] = nv
 	}
@@ -296,28 +133,18 @@ func (db *DB) commitInsert(tbl *table, row []Value, ec *execCtx) (ExecResult, er
 	return res, nil
 }
 
-func (db *DB) execUpdate(s *updateStmt, ec *execCtx) (ExecResult, error) {
-	tbl, err := db.lookupTable(s.Table)
-	if err != nil {
-		return ExecResult{}, err
-	}
-	cols := make([]int, len(s.Cols))
-	for i, col := range s.Cols {
-		ci := tbl.schema.colIndex(col)
-		if ci < 0 {
-			return ExecResult{}, fmt.Errorf("sqldb: table %q has no column %q", s.Table, col)
-		}
-		cols[i] = ci
-	}
+// execWrite runs a prepared UPDATE or DELETE.
+func (db *DB) execWrite(p *writePlan, ec *execCtx) (ExecResult, error) {
+	tbl := p.tbl
 	if db.mvcc.Load() {
 		snapTS := db.pinLatest()
 		defer db.unpinSnapshot(snapTS)
-		b := binding{ref: tableRef{Table: s.Table}, tbl: tbl, view: tbl.view(snapTS)}
-		writes, err := db.collectUpdates(s, b, cols, ec)
+		ec.bindViews(p.binds, snapTS)
+		updates, deletes, err := db.collectWrites(p, ec)
 		if err != nil {
 			return ExecResult{}, err
 		}
-		res, err := db.commitWrites(tbl, snapTS, writes, nil, ec, true)
+		res, err := db.commitWrites(tbl, snapTS, updates, deletes, ec, true)
 		if err != nil {
 			return ExecResult{}, err
 		}
@@ -330,116 +157,45 @@ func (db *DB) execUpdate(s *updateStmt, ec *execCtx) (ExecResult, error) {
 	// lock IS the paper's baseline contention model. The MVCC paths
 	// above charge outside every lock, and locksleep keeps them that way.
 	defer db.chargeCost(ec) //lint:allow locksleep(lock-engine charges under the table lock by design)
-	b := binding{ref: tableRef{Table: s.Table}, tbl: tbl, view: tbl.view(latestTS)}
-	writes, err := db.collectUpdates(s, b, cols, ec)
+	ec.bindViews(p.binds, latestTS)
+	updates, deletes, err := db.collectWrites(p, ec)
 	if err != nil {
 		return ExecResult{}, err
 	}
-	return db.commitWrites(tbl, 0, writes, nil, ec, false)
+	return db.commitWrites(tbl, 0, updates, deletes, ec, false)
 }
 
-// collectUpdates runs an UPDATE's read phase: find matching rows in the
-// view, evaluate the SET expressions against the snapshot row, and
-// build the full replacement rows.
-func (db *DB) collectUpdates(s *updateStmt, b binding, cols []int, ec *execCtx) ([]rowWrite, error) {
-	bindings := []binding{b}
-	tbl := b.tbl
-	ids := db.candidateRows(s.Where, bindings, b, ec)
-	rows := make([][]Value, 1)
-	var writes []rowWrite
-	for _, id := range ids {
-		rows[0] = b.view.row(id)
-		if rows[0] == nil {
+// collectWrites runs an UPDATE's or DELETE's read phase on the bound
+// view:
+// find the matching rows through the cached access path and the
+// compiled WHERE, then (UPDATE) evaluate the SET list against each
+// snapshot row and build the full replacement rows, or (DELETE) collect
+// the slot ids.
+func (db *DB) collectWrites(p *writePlan, ec *execCtx) (updates []rowWrite, deletes []int, err error) {
+	tbl, v, rows := p.tbl, ec.views[0], ec.rows
+	for _, id := range db.fetchOuter(p.path, v, ec) {
+		if rows[0] = v.row(id); rows[0] == nil || !passes(p.preds, rows, ec.args) {
 			continue
 		}
-		if s.Where != nil {
-			ok, err := evalBool(s.Where, bindings, rows, ec)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
+		if p.del {
+			deletes = append(deletes, id)
+			continue
 		}
 		newRow := append([]Value(nil), rows[0]...)
-		for i, op := range s.Vals {
-			v, err := operandValue(op, bindings, rows, ec)
+		for _, sc := range p.set {
+			nv, err := normalize(sc.val(rows, ec.args))
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			nv, err := normalize(v)
-			if err != nil {
-				return nil, err
+			if typ := tbl.schema.Columns[sc.ci].Type; !typ.accepts(nv) {
+				return nil, nil, fmt.Errorf("sqldb: column %s.%s (%s) rejects %T",
+					tbl.schema.Table, sc.name, typ, nv)
 			}
-			if !tbl.schema.Columns[cols[i]].Type.accepts(nv) {
-				return nil, fmt.Errorf("sqldb: column %s.%s (%s) rejects %T",
-					tbl.schema.Table, s.Cols[i], tbl.schema.Columns[cols[i]].Type, nv)
-			}
-			newRow[cols[i]] = nv
+			newRow[sc.ci] = nv
 		}
-		writes = append(writes, rowWrite{id: id, row: newRow})
+		updates = append(updates, rowWrite{id: id, row: newRow})
 	}
-	return writes, nil
-}
-
-func (db *DB) execDelete(s *deleteStmt, ec *execCtx) (ExecResult, error) {
-	tbl, err := db.lookupTable(s.Table)
-	if err != nil {
-		return ExecResult{}, err
-	}
-	if db.mvcc.Load() {
-		snapTS := db.pinLatest()
-		defer db.unpinSnapshot(snapTS)
-		b := binding{ref: tableRef{Table: s.Table}, tbl: tbl, view: tbl.view(snapTS)}
-		deletes, err := db.collectDeletes(s, b, ec)
-		if err != nil {
-			return ExecResult{}, err
-		}
-		res, err := db.commitWrites(tbl, snapTS, nil, deletes, ec, true)
-		if err != nil {
-			return ExecResult{}, err
-		}
-		db.chargeCost(ec) // outside every lock
-		return res, nil
-	}
-	tbl.lock.Lock()
-	defer tbl.lock.Unlock()
-	// Lock engine only: sleeping the statement's cost under the table
-	// lock IS the paper's baseline contention model. The MVCC paths
-	// above charge outside every lock, and locksleep keeps them that way.
-	defer db.chargeCost(ec) //lint:allow locksleep(lock-engine charges under the table lock by design)
-	b := binding{ref: tableRef{Table: s.Table}, tbl: tbl, view: tbl.view(latestTS)}
-	deletes, err := db.collectDeletes(s, b, ec)
-	if err != nil {
-		return ExecResult{}, err
-	}
-	return db.commitWrites(tbl, 0, nil, deletes, ec, false)
-}
-
-// collectDeletes runs a DELETE's read phase: the slot ids of matching
-// visible rows.
-func (db *DB) collectDeletes(s *deleteStmt, b binding, ec *execCtx) ([]int, error) {
-	bindings := []binding{b}
-	ids := db.candidateRows(s.Where, bindings, b, ec)
-	rows := make([][]Value, 1)
-	var deletes []int
-	for _, id := range ids {
-		rows[0] = b.view.row(id)
-		if rows[0] == nil {
-			continue
-		}
-		if s.Where != nil {
-			ok, err := evalBool(s.Where, bindings, rows, ec)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		deletes = append(deletes, id)
-	}
-	return deletes, nil
+	return updates, deletes, nil
 }
 
 // commitWrites validates and installs an UPDATE/DELETE write set as one
@@ -484,35 +240,4 @@ func (db *DB) commitWrites(tbl *table, snapTS int64, updates []rowWrite, deletes
 	}
 	db.finishCommit(ec, ts)
 	return ExecResult{RowsAffected: int64(len(updates) + len(deletes)), CommitTS: ts}, nil
-}
-
-// lockTables read- or write-locks every distinct table among the
-// bindings in name order (a canonical order prevents deadlock between
-// concurrent multi-table statements) and returns the unlock function.
-func (db *DB) lockTables(bindings []binding, write bool) func() {
-	uniq := make(map[string]*table, len(bindings))
-	for _, b := range bindings {
-		uniq[b.tbl.schema.Table] = b.tbl
-	}
-	names := make([]string, 0, len(uniq))
-	for n := range uniq {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if write {
-			uniq[n].lock.Lock()
-		} else {
-			uniq[n].lock.RLock()
-		}
-	}
-	return func() {
-		for i := len(names) - 1; i >= 0; i-- {
-			if write {
-				uniq[names[i]].lock.Unlock()
-			} else {
-				uniq[names[i]].lock.RUnlock()
-			}
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 )
@@ -13,141 +12,96 @@ import (
 // index-nested-loop per the plan); filter, aggregate, sort, and limit
 // shape the result. Index results are stale-tolerant hints throughout —
 // every operator re-checks its predicate against the visible row.
+//
+// Matched combined rows travel as one flat slice: a row of an n-table
+// statement is n consecutive entries (one table row each), so
+// enumeration appends without a per-row allocation.
 
-// execSelect runs a SELECT. In lock mode it holds the read locks of its
-// tables for the whole cost-padded statement (the paper's contention
-// behavior); under MVCC it reads a fixed snapshot lock-free and charges
-// cost with nothing held, so readers never block writers or each other.
-func (db *DB) execSelect(s *selectStmt, ec *execCtx) (*ResultSet, error) {
-	bindings, err := db.resolveBindings(s)
-	if err != nil {
-		return nil, err
-	}
+// execSelect runs a prepared SELECT whose arguments are bound. In lock
+// mode it holds the read locks of its tables for the whole cost-padded
+// statement (the paper's contention behavior); under MVCC it reads a
+// fixed snapshot lock-free and charges cost with nothing held, so
+// readers never block writers or each other.
+func (db *DB) execSelect(p *selectPlan, ec *execCtx) *ResultSet {
 	if db.mvcc.Load() {
 		ts := db.pinLatest()
 		db.snapshotReads.Inc()
 		defer db.unpinSnapshot(ts)
-		bindViews(bindings, ts)
+		ec.bindViews(p.binds, ts)
 		defer db.chargeCost(ec) // no locks held; the sleep delays only this statement
-		return db.runSelect(s, bindings, ec)
+		return db.runSelect(p, ec)
 	}
-	unlock := db.lockTables(bindings, false)
-	defer unlock()
+	p.rlock()
+	defer p.runlock()
 	defer db.chargeCost(ec) // sleep the cost before releasing the locks
-	bindViews(bindings, latestTS)
-	return db.runSelect(s, bindings, ec)
+	ec.bindViews(p.binds, latestTS)
+	return db.runSelect(p, ec)
 }
 
-// execSelectAt runs a SELECT lock-free against the snapshot at ts — the
-// engine behind Snapshot.Query, valid in either concurrency mode.
-func (db *DB) execSelectAt(s *selectStmt, ec *execCtx, ts int64) (*ResultSet, error) {
-	bindings, err := db.resolveBindings(s)
-	if err != nil {
-		return nil, err
-	}
+// execSelectAt runs a prepared SELECT lock-free against the snapshot at
+// ts — the engine behind Snapshot.Query, valid in either concurrency
+// mode.
+func (db *DB) execSelectAt(p *selectPlan, ec *execCtx, ts int64) *ResultSet {
 	db.pinSnapshot(ts)
 	defer db.unpinSnapshot(ts)
-	bindViews(bindings, ts)
+	ec.bindViews(p.binds, ts)
 	defer db.chargeCost(ec)
-	return db.runSelect(s, bindings, ec)
+	return db.runSelect(p, ec)
 }
 
-// runSelect is the mode-independent SELECT core: fetch the physical
-// plan (cached on the statement, or planned on the fly for direct
-// parses), enumerate, aggregate, order, project. Every row access goes
-// through the bindings' views.
-func (db *DB) runSelect(s *selectStmt, bindings []binding, ec *execCtx) (*ResultSet, error) {
-	plan := s.plan
-	if plan == nil {
-		var err error
-		if plan, err = db.planSelect(s); err != nil {
-			return nil, err
-		}
-	}
-
-	// Compile the WHERE clause once, split into conjuncts applied at the
-	// shallowest join depth possible (predicate pushdown).
-	preds, err := compileWhere(s.Where, bindings)
-	if err != nil {
-		return nil, err
-	}
-
-	matched, preSorted, err := db.enumerate(s, plan, bindings, preds, ec)
-	if err != nil {
-		return nil, err
-	}
-
-	hasAgg := false
-	for _, it := range s.Items {
-		if it.Agg != aggNone {
-			hasAgg = true
-			break
-		}
-	}
-
-	var rs *ResultSet
-	if hasAgg || len(s.GroupBy) > 0 {
-		rs, err = db.aggregate(s, bindings, matched, ec)
-		if err != nil {
-			return nil, err
-		}
+// runSelect is the mode-independent SELECT core: enumerate, aggregate,
+// order, limit, project. Every row access goes through the views bound
+// on ec.
+func (db *DB) runSelect(p *selectPlan, ec *execCtx) *ResultSet {
+	matched, preSorted := db.enumerate(p, ec)
+	stride := len(p.binds)
+	if p.agg != nil {
+		rs := p.aggregate(matched, stride, ec)
 		// Aggregated queries order by output columns, including
 		// aggregate aliases (ORDER BY qty DESC).
-		if len(s.OrderBy) > 0 {
-			if err := orderResult(rs, s.OrderBy, ec); err != nil {
-				return nil, err
-			}
+		if len(p.sortOut) > 0 {
+			ec.cost.sorted += len(rs.Rows)
+			sortRows(rs.Rows, 1, p.sortOut)
 		}
-	} else {
-		// Plain queries may order by any table column, projected or not
-		// (ORDER BY i_pub_date DESC with only i_title selected), so sort
-		// the combined rows before projection — unless the index-order
-		// access path already delivered them sorted. Aliases that are not
-		// table columns fall back to a post-projection sort.
-		sortedPre := preSorted
-		if len(s.OrderBy) > 0 && !sortedPre {
-			ok, err := orderCombined(matched, bindings, s.OrderBy, ec)
-			if err != nil {
-				return nil, err
-			}
-			sortedPre = ok
-		}
-		rs, err = db.project(s, bindings, matched, ec)
-		if err != nil {
-			return nil, err
-		}
-		if len(s.OrderBy) > 0 && !sortedPre {
-			if err := orderResult(rs, s.OrderBy, ec); err != nil {
-				return nil, err
-			}
-		}
+		lo, hi := limitWindow(len(rs.Rows), p.limit, p.offset)
+		rs.Rows = rs.Rows[lo:hi]
+		return rs
 	}
-	applyLimit(rs, s.Limit, s.Offset)
-	return rs, nil
+	n := len(matched) / stride
+	if len(p.sortRows) > 0 && !preSorted {
+		ec.cost.sorted += n
+		sortRows(matched, stride, p.sortRows)
+	}
+	if len(p.sortOut) > 0 {
+		// Aliases that are not table columns sort the projected output.
+		rs := p.project(matched, stride)
+		ec.cost.sorted += len(rs.Rows)
+		sortRows(rs.Rows, 1, p.sortOut)
+		lo, hi := limitWindow(len(rs.Rows), p.limit, p.offset)
+		rs.Rows = rs.Rows[lo:hi]
+		return rs
+	}
+	// The order is final: project only the rows LIMIT/OFFSET keep.
+	lo, hi := limitWindow(n, p.limit, p.offset)
+	return p.project(matched[lo*stride:hi*stride], stride)
 }
 
-// pathValue resolves an access path's bound operand row-independently.
-// ok=false (missing argument, un-normalizable value) degrades the path
-// to a scan rather than erroring — the compiled predicates will surface
-// any real argument error.
-func pathValue(op operand, ec *execCtx) (Value, bool) {
-	v, err := operandValue(op, nil, nil, ec)
-	if err != nil {
-		return nil, false
+// limitWindow returns the [lo, hi) row range OFFSET and LIMIT keep out
+// of n rows (limit < 0 means no limit).
+func limitWindow(n, limit, offset int) (lo, hi int) {
+	lo, hi = min(max(offset, 0), n), n
+	if limit >= 0 && lo+limit < hi {
+		hi = lo + limit
 	}
-	nv, err := normalize(v)
-	if err != nil {
-		return nil, false
-	}
-	return nv, true
+	return lo, hi
 }
 
 // scanRows is the full-scan access path: every live slot of the view.
-func (db *DB) scanRows(b binding, ec *execCtx) []int {
-	n := b.view.size()
+func (db *DB) scanRows(v tableView, ec *execCtx) []int {
+	n := v.size()
 	ids := make([]int, 0, n)
 	for id := 0; id < n; id++ {
-		if b.view.row(id) != nil {
+		if v.row(id) != nil {
 			ids = append(ids, id)
 		}
 	}
@@ -158,9 +112,10 @@ func (db *DB) scanRows(b binding, ec *execCtx) []int {
 }
 
 // indexedRows resolves an equality through the primary key or a
-// secondary index and charges probe costs. Results are hints; callers
-// re-check the predicate against the visible row.
-func (db *DB) indexedRows(v tableView, col string, val Value, ec *execCtx) []int {
+// secondary index and charges probe costs. A primary-key hit is
+// returned in hit, so the probe does not allocate. Results are hints;
+// callers re-check the predicate against the visible row.
+func (db *DB) indexedRows(v tableView, col string, val Value, ec *execCtx, hit *[1]int) []int {
 	t := v.tbl
 	if t.pkCol >= 0 && t.schema.Columns[t.pkCol].Name == col {
 		ec.cost.probes++
@@ -175,7 +130,8 @@ func (db *DB) indexedRows(v tableView, col string, val Value, ec *execCtx) []int
 			return nil
 		}
 		if id, found := v.lookupPK(key); found {
-			return []int{id}
+			hit[0] = id
+			return hit[:]
 		}
 		return nil
 	}
@@ -193,8 +149,8 @@ func (db *DB) indexedRows(v tableView, col string, val Value, ec *execCtx) []int
 // (a row whose key was updated has entries under both values; only the
 // one matching the visible row may produce it, which also keeps the
 // result duplicate-free).
-func (db *DB) rangeRows(p accessPath, b binding, ec *execCtx) ([]int, bool) {
-	oidx, ok := b.view.lookupOrdered(p.colName)
+func (db *DB) rangeRows(p accessPath, v tableView, ec *execCtx) ([]int, bool) {
+	oidx, ok := v.lookupOrdered(p.colName)
 	if !ok {
 		return nil, false
 	}
@@ -202,16 +158,10 @@ func (db *DB) rangeRows(p accessPath, b binding, ec *execCtx) ([]int, bool) {
 	hasLo, hasHi := p.lo != nil, p.hi != nil
 	var loExcl, hiExcl bool
 	if hasLo {
-		if lo, ok = pathValue(p.lo.rhs, ec); !ok {
-			return nil, false
-		}
-		loExcl = p.lo.excl
+		lo, loExcl = argValue(p.lo.rhs, ec.args), p.lo.excl
 	}
 	if hasHi {
-		if hi, ok = pathValue(p.hi.rhs, ec); !ok {
-			return nil, false
-		}
-		hiExcl = p.hi.excl
+		hi, hiExcl = argValue(p.hi.rhs, ec.args), p.hi.excl
 	}
 	es, visited := oidx.state.Load().rangeEntries(lo, loExcl, hasLo, hi, hiExcl, hasHi)
 	ec.cost.probes += visited + 1
@@ -219,7 +169,7 @@ func (db *DB) rangeRows(p accessPath, b binding, ec *execCtx) ([]int, bool) {
 	ci := oidx.col
 	ids := make([]int, 0, len(es))
 	for _, e := range es {
-		row := b.view.row(e.id)
+		row := v.row(e.id)
 		if row == nil || !valuesEqual(row[ci], e.val) {
 			continue
 		}
@@ -228,69 +178,110 @@ func (db *DB) rangeRows(p accessPath, b binding, ec *execCtx) ([]int, bool) {
 	return ids, true
 }
 
-// fetchOuter executes the plan's access path for the driving table and
-// returns candidate slot ids (hints — callers re-check predicates).
-// Index paths degrade to the scan when the index or a bound value is
-// unavailable at execution time.
-func (db *DB) fetchOuter(p accessPath, b binding, ec *execCtx) []int {
+// fetchOuter executes an access path for the driving table and returns
+// candidate slot ids (hints — callers re-check predicates). A range
+// path degrades to the scan when its ordered index is gone at
+// execution time (replaced by a hash index after planning).
+func (db *DB) fetchOuter(p accessPath, v tableView, ec *execCtx) []int {
 	switch p.kind {
 	case pathPK, pathIndexEq:
-		if val, ok := pathValue(p.eq, ec); ok {
-			db.planIndex.Inc()
-			return db.indexedRows(b.view, p.colName, val, ec)
-		}
+		db.planIndex.Inc()
+		return db.indexedRows(v, p.colName, argValue(p.eq, ec.args), ec, &ec.pkHit[0])
 	case pathIndexRange:
-		if ids, ok := db.rangeRows(p, b, ec); ok {
+		if ids, ok := db.rangeRows(p, v, ec); ok {
 			db.planIndex.Inc()
 			return ids
 		}
 	}
-	return db.scanRows(b, ec)
+	return db.scanRows(v, ec)
 }
 
-// candidateRows yields the row IDs of table b to visit for a DML read
-// phase, choosing the access path the same way the SELECT planner does
-// (indexes change DML predicate evaluation too) and charging honest
-// scan/probe costs.
-func (db *DB) candidateRows(where boolExpr, bindings []binding, b binding, ec *execCtx) []int {
-	return db.fetchOuter(db.choosePredPath(where, bindings), b, ec)
+// joinWalk is the state of one nested-loop enumeration.
+type joinWalk struct {
+	db  *DB
+	p   *selectPlan
+	ec  *execCtx
+	out [][]Value // matched combined rows, flattened
+}
+
+// visit binds row at depth i and, if the depth-i conjuncts pass,
+// continues the join below it.
+func (w *joinWalk) visit(i int, row []Value) {
+	ec := w.ec
+	ec.rows[i] = row
+	if !passes(w.p.preds[i], ec.rows, ec.args) {
+		return
+	}
+	if i+1 < len(ec.rows) {
+		w.join(i + 1)
+		return
+	}
+	w.out = append(w.out, ec.rows...)
+	ec.cost.matched++
+}
+
+// join enumerates binding i's rows matching the join column of the
+// rows bound above it. Each join step counts its access path once per
+// statement execution.
+func (w *joinWalk) join(i int) {
+	db, ec := w.db, w.ec
+	jp := w.p.joins[i-1]
+	outerVal := ec.rows[jp.outerBi][jp.outerCi]
+	inner := ec.views[i]
+	if jp.indexed {
+		if !ec.counted[i] {
+			ec.counted[i] = true
+			db.planIndex.Inc()
+		}
+		for _, id := range db.indexedRows(inner, jp.innerName, outerVal, ec, &ec.pkHit[i]) {
+			row := inner.row(id)
+			// Re-check the join equality: index buckets are stale-tolerant
+			// hints, so an id may point at a row whose visible version no
+			// longer (or, at this snapshot, does not yet) match.
+			if row != nil && valuesEqual(row[jp.innerCol], outerVal) {
+				w.visit(i, row)
+			}
+		}
+	} else {
+		if !ec.counted[i] {
+			ec.counted[i] = true
+			db.planScans.Inc()
+		}
+		n := inner.size()
+		ec.cost.scanned += n
+		db.planRows.Add(int64(n))
+		for id := 0; id < n; id++ {
+			if row := inner.row(id); row != nil && valuesEqual(row[jp.innerCol], outerVal) {
+				w.visit(i, row)
+			}
+		}
+	}
+	ec.rows[i] = nil
 }
 
 // enumerate runs the plan's access paths and joins with predicate
-// pushdown, returning the fully matched combined rows. preSorted
-// reports that the index-order access path already delivered the rows
-// in ORDER BY order.
-func (db *DB) enumerate(s *selectStmt, plan *selectPlan, bindings []binding, preds [][]compiledPred, ec *execCtx) (out [][][]Value, preSorted bool, err error) {
-	rows := make([][]Value, len(bindings))
-
-	// applyPreds evaluates the depth-i conjuncts on the partial row.
-	applyPreds := func(i int) (bool, error) {
-		for _, p := range preds[i] {
-			ok, err := p.eval(rows, ec)
-			if err != nil || !ok {
-				return false, err
-			}
-		}
-		return true, nil
-	}
-
+// pushdown, returning the fully matched combined rows, flattened.
+// preSorted reports that the index-order access path already delivered
+// the rows in ORDER BY order.
+func (db *DB) enumerate(p *selectPlan, ec *execCtx) (out [][]Value, preSorted bool) {
+	v := ec.views[0]
 	// Index-order access path: walk the ordered index in ORDER BY order,
 	// stopping once LIMIT+OFFSET filtered rows are in hand. Join-free by
 	// construction (the planner only picks it for single-table SELECTs).
-	if plan.outer.kind == pathIndexOrder && len(bindings) == 1 {
-		if oidx, ok := bindings[0].view.lookupOrdered(plan.outer.colName); ok {
+	if p.outer.kind == pathIndexOrder && len(p.binds) == 1 {
+		if oidx, ok := v.lookupOrdered(p.outer.colName); ok {
 			db.planIndex.Inc()
 			es, _ := oidx.state.Load().allEntries()
 			ci := oidx.col
 			iterated := 0
 			for i := range es {
 				e := es[i]
-				if plan.outer.desc {
+				if p.outer.desc {
 					e = es[len(es)-1-i]
 				}
 				iterated++
 				ec.cost.probes++
-				row := bindings[0].view.row(e.id)
+				row := v.row(e.id)
 				// Entry-vs-visible re-check: an updated row has entries at
 				// both its old and new position; emitting it anywhere but
 				// its current value's position would break the order (and
@@ -298,230 +289,87 @@ func (db *DB) enumerate(s *selectStmt, plan *selectPlan, bindings []binding, pre
 				if row == nil || !valuesEqual(row[ci], e.val) {
 					continue
 				}
-				rows[0] = row
-				ok, err := applyPreds(0)
-				if err != nil {
-					return nil, false, err
-				}
-				if !ok {
+				ec.rows[0] = row
+				if !passes(p.preds[0], ec.rows, ec.args) {
 					continue
 				}
-				out = append(out, [][]Value{row})
+				out = append(out, row)
 				ec.cost.matched++
-				if plan.outer.stop >= 0 && len(out) >= plan.outer.stop {
+				if p.outer.stop >= 0 && len(out) >= p.outer.stop {
 					break
 				}
 			}
 			db.planRows.Add(int64(iterated))
-			return out, true, nil
+			return out, true
 		}
 		// Ordered index gone (replaced by a hash index between planning
 		// and execution): fall through to the generic path on a scan.
 	}
 
-	outerPath := plan.outer
+	outerPath := p.outer
 	if outerPath.kind == pathIndexOrder {
 		outerPath = accessPath{kind: pathScan}
 	}
-
-	// Join steps count their access path once per statement execution.
-	counted := make([]bool, len(plan.joins))
-
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i >= len(bindings) {
-			cp := make([][]Value, len(rows))
-			copy(cp, rows)
-			out = append(out, cp)
-			ec.cost.matched++
-			return nil
-		}
-		jp := plan.joins[i-1]
-		outerVal := rows[jp.outerBi][jp.outerCi]
-		inner := bindings[i]
-		var ids []int
-		if jp.indexed {
-			if !counted[i-1] {
-				counted[i-1] = true
-				db.planIndex.Inc()
-			}
-			ids = db.indexedRows(inner.view, jp.innerName, outerVal, ec)
-		} else {
-			if !counted[i-1] {
-				counted[i-1] = true
-				db.planScans.Inc()
-			}
-			n := inner.view.size()
-			ec.cost.scanned += n
-			db.planRows.Add(int64(n))
-			for id := 0; id < n; id++ {
-				if row := inner.view.row(id); row != nil && valuesEqual(row[jp.innerCol], outerVal) {
-					ids = append(ids, id)
-				}
-			}
-		}
-		for _, id := range ids {
-			row := inner.view.row(id)
-			// Re-check the join equality: index buckets are stale-tolerant
-			// hints, so an id may point at a row whose visible version no
-			// longer (or, at this snapshot, does not yet) match.
-			if row == nil || !valuesEqual(row[jp.innerCol], outerVal) {
-				continue
-			}
-			rows[i] = row
-			ok, err := applyPreds(i)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		rows[i] = nil
-		return nil
-	}
-
-	for _, id := range db.fetchOuter(outerPath, bindings[0], ec) {
-		rows[0] = bindings[0].view.row(id)
-		if rows[0] == nil {
-			continue
-		}
-		ok, err := applyPreds(0)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			continue
-		}
-		if err := rec(1); err != nil {
-			return nil, false, err
+	w := joinWalk{db: db, p: p, ec: ec}
+	for _, id := range db.fetchOuter(outerPath, v, ec) {
+		if row := v.row(id); row != nil {
+			w.visit(0, row)
 		}
 	}
-	return out, false, nil
+	return w.out, false
 }
 
-// orderCombined sorts joined rows by table columns. It reports false
-// (without sorting) when a key does not resolve to a table column, in
-// which case the caller sorts the projected output instead.
-func orderCombined(matched [][][]Value, bindings []binding, keys []orderKey, ec *execCtx) (bool, error) {
-	type sortCol struct {
-		bi, ci int
-		desc   bool
-	}
-	scols := make([]sortCol, len(keys))
-	for i, k := range keys {
-		bi, ci, err := resolveCol(bindings, k.Ref)
-		if err != nil {
-			return false, nil // alias; sort after projection
-		}
-		scols[i] = sortCol{bi: bi, ci: ci, desc: k.Desc}
-	}
-	ec.cost.sorted += len(matched)
-	var sortErr error
-	sort.SliceStable(matched, func(i, j int) bool {
-		for _, sc := range scols {
-			c, err := compare(matched[i][sc.bi][sc.ci], matched[j][sc.bi][sc.ci])
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			if c != 0 {
-				if sc.desc {
-					return c > 0
-				}
-				return c < 0
-			}
-		}
-		return false
-	})
-	if sortErr != nil {
-		return false, sortErr
-	}
-	return true, nil
+// rowSorter stably sorts flattened combined rows of stride entries by
+// resolved keys.
+type rowSorter struct {
+	rows   [][]Value
+	stride int
+	keys   []sortKey
 }
 
-// outputColumns computes the result column names for the projection.
-func outputColumns(s *selectStmt, bindings []binding) ([]string, error) {
-	var cols []string
-	for _, it := range s.Items {
-		switch {
-		case it.Star:
-			for _, b := range bindings {
-				if it.Table != "" && b.ref.name() != it.Table {
-					continue
-				}
-				for _, c := range b.tbl.schema.Columns {
-					cols = append(cols, c.Name)
-				}
-			}
-		case it.Agg != aggNone:
-			cols = append(cols, aggOutputName(it))
-		default:
-			if it.Alias != "" {
-				cols = append(cols, it.Alias)
-			} else {
-				cols = append(cols, it.Col.Column)
-			}
+func (s *rowSorter) Len() int { return len(s.rows) / s.stride }
+
+func (s *rowSorter) Less(i, j int) bool {
+	a, b := s.rows[i*s.stride:], s.rows[j*s.stride:]
+	for _, k := range s.keys {
+		// Keys compare values of one column (or one output column), so
+		// the types agree and compare cannot fail.
+		c, _ := compare(a[k.pos.bi][k.pos.ci], b[k.pos.bi][k.pos.ci])
+		if c != 0 {
+			return (c < 0) != k.desc
 		}
 	}
-	return cols, nil
+	return false
 }
 
-func aggOutputName(it selectItem) string {
-	if it.Alias != "" {
-		return it.Alias
+func (s *rowSorter) Swap(i, j int) {
+	a, b := s.rows[i*s.stride:(i+1)*s.stride], s.rows[j*s.stride:(j+1)*s.stride]
+	for k := range a {
+		a[k], b[k] = b[k], a[k]
 	}
-	var fn string
-	switch it.Agg {
-	case aggCount:
-		fn = "count"
-	case aggSum:
-		fn = "sum"
-	case aggAvg:
-		fn = "avg"
-	case aggMin:
-		fn = "min"
-	case aggMax:
-		fn = "max"
-	}
-	if it.AggStar {
-		return fn
-	}
-	return fn + "_" + it.AggCol.Column
 }
 
-// project materializes a non-aggregate result.
-func (db *DB) project(s *selectStmt, bindings []binding, matched [][][]Value, ec *execCtx) (*ResultSet, error) {
-	cols, err := outputColumns(s, bindings)
-	if err != nil {
-		return nil, err
-	}
-	rs := &ResultSet{Columns: cols, Rows: make([][]Value, 0, len(matched))}
-	for _, rows := range matched {
-		out := make([]Value, 0, len(cols))
-		for _, it := range s.Items {
-			switch {
-			case it.Star:
-				for bi, b := range bindings {
-					if it.Table != "" && b.ref.name() != it.Table {
-						continue
-					}
-					out = append(out, rows[bi]...)
-				}
-			default:
-				bi, ci, err := resolveCol(bindings, it.Col)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, rows[bi][ci])
-			}
+// sortRows stably sorts flattened combined rows by keys.
+func sortRows(rows [][]Value, stride int, keys []sortKey) {
+	sort.Stable(&rowSorter{rows: rows, stride: stride, keys: keys})
+}
+
+// project materializes the result of a non-aggregate query from
+// flattened combined rows. The cells of all result rows share one
+// backing array.
+func (p *selectPlan) project(matched [][]Value, stride int) *ResultSet {
+	n, width := len(matched)/stride, len(p.proj)
+	cells := make([]Value, n*width)
+	rs := &ResultSet{Columns: p.cols, Rows: make([][]Value, n)}
+	for r := range n {
+		combined := matched[r*stride:]
+		out := cells[r*width : (r+1)*width : (r+1)*width]
+		for j, pos := range p.proj {
+			out[j] = combined[pos.bi][pos.ci]
 		}
-		rs.Rows = append(rs.Rows, out)
+		rs.Rows[r] = out
 	}
-	return rs, nil
+	return rs
 }
 
 // aggState accumulates one aggregate over one group.
@@ -559,87 +407,61 @@ func (a *aggState) add(v Value) {
 	}
 }
 
-// aggregate materializes a grouped/aggregated result.
-func (db *DB) aggregate(s *selectStmt, bindings []binding, matched [][][]Value, ec *execCtx) (*ResultSet, error) {
-	for _, it := range s.Items {
-		if it.Star {
-			return nil, fmt.Errorf("sqldb: SELECT * cannot be combined with aggregates")
-		}
-	}
-	// Resolve group-by columns.
-	type colPos struct{ bi, ci int }
-	groupPos := make([]colPos, len(s.GroupBy))
-	for i, g := range s.GroupBy {
-		bi, ci, err := resolveCol(bindings, g)
-		if err != nil {
-			return nil, err
-		}
-		groupPos[i] = colPos{bi, ci}
-	}
+// aggregate materializes a grouped/aggregated result from flattened
+// combined rows.
+func (p *selectPlan) aggregate(matched [][]Value, stride int, ec *execCtx) *ResultSet {
+	a := p.agg
 	type group struct {
 		firstRows [][]Value
 		states    []aggState
 	}
 	groups := make(map[string]*group)
 	var orderKeys []string // insertion order for determinism
-	ec.cost.sorted += len(matched)
-	for _, rows := range matched {
+	n := len(matched) / stride
+	ec.cost.sorted += n
+	for r := range n {
+		rows := matched[r*stride : (r+1)*stride]
 		var kb strings.Builder
-		for _, gp := range groupPos {
+		for _, gp := range a.group {
 			kb.WriteString(FormatValue(rows[gp.bi][gp.ci]))
 			kb.WriteByte('\x00')
 		}
 		key := kb.String()
 		g, ok := groups[key]
 		if !ok {
-			g = &group{firstRows: rows, states: make([]aggState, len(s.Items))}
+			g = &group{firstRows: rows, states: make([]aggState, len(a.items))}
 			groups[key] = g
 			orderKeys = append(orderKeys, key)
 		}
-		for i, it := range s.Items {
-			if it.Agg == aggNone {
-				continue
-			}
-			if it.AggStar {
+		for i, it := range a.items {
+			switch {
+			case it.kind == aggNone:
+			case it.star:
 				g.states[i].count++
-				continue
+			default:
+				g.states[i].add(rows[it.pos.bi][it.pos.ci])
 			}
-			bi, ci, err := resolveCol(bindings, it.AggCol)
-			if err != nil {
-				return nil, err
-			}
-			g.states[i].add(rows[bi][ci])
 		}
-	}
-	cols, err := outputColumns(s, bindings)
-	if err != nil {
-		return nil, err
 	}
 	// SQL semantics: an ungrouped aggregate over an empty set still
 	// yields one row (COUNT 0, SUM/AVG/MIN/MAX NULL).
-	if len(groups) == 0 && len(s.GroupBy) == 0 {
-		groups[""] = &group{firstRows: make([][]Value, len(bindings)), states: make([]aggState, len(s.Items))}
+	if len(groups) == 0 && len(a.group) == 0 {
+		groups[""] = &group{firstRows: make([][]Value, stride), states: make([]aggState, len(a.items))}
 		orderKeys = append(orderKeys, "")
 	}
-	rs := &ResultSet{Columns: cols, Rows: make([][]Value, 0, len(groups))}
+	rs := &ResultSet{Columns: p.cols, Rows: make([][]Value, 0, len(groups))}
 	for _, key := range orderKeys {
 		g := groups[key]
-		out := make([]Value, 0, len(cols))
-		for i, it := range s.Items {
-			if it.Agg == aggNone {
-				bi, ci, err := resolveCol(bindings, it.Col)
-				if err != nil {
-					return nil, err
-				}
-				if g.firstRows[bi] == nil {
-					out = append(out, nil) // synthetic empty-set group
-					continue
-				}
-				out = append(out, g.firstRows[bi][ci])
-				continue
-			}
+		out := make([]Value, 0, len(a.items))
+		for i, it := range a.items {
 			st := g.states[i]
-			switch it.Agg {
+			switch it.kind {
+			case aggNone:
+				if row := g.firstRows[it.pos.bi]; row != nil {
+					out = append(out, row[it.pos.ci])
+				} else {
+					out = append(out, nil) // synthetic empty-set group
+				}
 			case aggCount:
 				out = append(out, st.count)
 			case aggSum:
@@ -662,53 +484,5 @@ func (db *DB) aggregate(s *selectStmt, bindings []binding, matched [][][]Value, 
 		}
 		rs.Rows = append(rs.Rows, out)
 	}
-	return rs, nil
-}
-
-// orderResult sorts the result set by output columns (names or aliases).
-func orderResult(rs *ResultSet, keys []orderKey, ec *execCtx) error {
-	type sortCol struct {
-		idx  int
-		desc bool
-	}
-	scols := make([]sortCol, len(keys))
-	for i, k := range keys {
-		idx := rs.ColIndex(k.Ref.Column)
-		if idx < 0 {
-			return fmt.Errorf("sqldb: ORDER BY column %q is not in the result; project it", k.Ref.Column)
-		}
-		scols[i] = sortCol{idx: idx, desc: k.Desc}
-	}
-	ec.cost.sorted += len(rs.Rows)
-	var sortErr error
-	sort.SliceStable(rs.Rows, func(i, j int) bool {
-		for _, sc := range scols {
-			c, err := compare(rs.Rows[i][sc.idx], rs.Rows[j][sc.idx])
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			if c != 0 {
-				if sc.desc {
-					return c > 0
-				}
-				return c < 0
-			}
-		}
-		return false
-	})
-	return sortErr
-}
-
-func applyLimit(rs *ResultSet, limit, offset int) {
-	if offset > 0 {
-		if offset >= len(rs.Rows) {
-			rs.Rows = rs.Rows[:0]
-		} else {
-			rs.Rows = rs.Rows[offset:]
-		}
-	}
-	if limit >= 0 && limit < len(rs.Rows) {
-		rs.Rows = rs.Rows[:limit]
-	}
+	return rs
 }

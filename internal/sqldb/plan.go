@@ -2,26 +2,41 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"time"
 )
 
-// This file is the planning layer of the SELECT pipeline. The layering
-// is:
+// This file is the planning layer of the statement pipeline. The
+// layering is:
 //
 //	parser.go / ast.go   — SQL text -> logical statement tree
-//	plan.go  (this file) — logical tree -> physical selectPlan: one
-//	                       access path per driving table plus a join
+//	plan.go  (this file) — logical tree -> prepared plan: tables and
+//	                       columns resolved, WHERE compiled (compile.go),
+//	                       one access path per driving table plus a join
 //	                       strategy per joined table, chosen by cost
 //	                       from table/index statistics
-//	operators.go         — physical plan -> rows, through composable
+//	operators.go         — selectPlan -> rows, through composable
 //	                       operators (scan, index lookup/range/order,
 //	                       filter, joins, aggregate, sort, limit)
+//	exec.go              — insertPlan / writePlan -> committed versions
 //
-// Plans are built once at prepare time and cached with the statement
-// (keyed by the index epoch, see stmtcache.go); placeholder values are
-// not known at plan time, so selectivity estimates use index statistics
-// and the operators re-resolve bound values at execution.
+// Plans are built once at prepare time and cached (keyed by the index
+// epoch, see stmtcache.go), then shared read-only by every execution.
+// An execution binds its arguments, takes its views or locks, and runs
+// the plan. Placeholder values are not known at plan time, so
+// selectivity estimates use index statistics and the operators resolve
+// bound values at execution.
+
+// prepared is a statement resolved against the schema and ready to
+// run: a *selectPlan, *explainPlan, *insertPlan, or *writePlan.
+type prepared interface{ isPrepared() }
+
+func (*selectPlan) isPrepared()  {}
+func (*explainPlan) isPrepared() {}
+func (*insertPlan) isPrepared()  {}
+func (*writePlan) isPrepared()   {}
 
 // pathKind enumerates the physical access paths for one table.
 type pathKind int
@@ -71,7 +86,7 @@ type joinPlan struct {
 	outerCi   int
 }
 
-func colBelongsTo(b binding, ref colRef) bool {
+func colBelongsTo(b boundTable, ref colRef) bool {
 	if ref.Table != "" {
 		return ref.Table == b.ref.name()
 	}
@@ -87,14 +102,27 @@ type joinStep struct {
 	innerTable string // inner binding's display name, for EXPLAIN
 }
 
-// selectPlan is the physical plan for one SELECT.
+// selectPlan is the prepared form of one SELECT. Everything about the
+// statement's shape is resolved here; an execution only binds
+// arguments, takes views (or locks), and runs it.
 type selectPlan struct {
+	binds []boundTable
+	locks []*table // distinct tables in name order: lock-mode acquisition order
+	args  argSpec
+
 	outerName string // driving table's display name
 	outer     accessPath
 	joins     []joinStep
+	preds     [][]compiledPred // WHERE conjuncts by the join depth they run at
 
-	where        boolExpr // residual filter (the full WHERE; re-checked)
-	hasAgg       bool
+	cols []string // output column names, shared by every result
+	proj []colPos // non-aggregate: the source of each output column
+	agg  *aggPlan // aggregate or grouped query; nil otherwise
+
+	sortRows []sortKey // ORDER BY on table columns, applied before projection
+	sortOut  []sortKey // ORDER BY on output columns, applied after it
+
+	where        boolExpr // the full WHERE, for EXPLAIN
 	groupBy      []colRef
 	orderBy      []orderKey
 	orderByIndex bool // outer path delivers ORDER BY order; no sort
@@ -102,33 +130,79 @@ type selectPlan struct {
 	offset       int
 }
 
-// planSelect chooses the physical plan for a parsed SELECT: join
-// strategies for every joined table and a cost-ranked access path for
-// the driving table.
+// aggPlan is the resolved GROUP BY and aggregate list of a SELECT.
+type aggPlan struct {
+	group []colPos
+	items []aggItem // one per select item, in order
+}
+
+// aggItem is one select item of an aggregated query: a plain column
+// (kind aggNone, taken from the group's first row) or an aggregate over
+// pos (or over rows, for COUNT(*)).
+type aggItem struct {
+	kind aggKind
+	star bool
+	pos  colPos
+}
+
+// sortKey is one resolved ORDER BY key. For output-column sorts pos.ci
+// is the output column index (each result row is a one-binding row).
+type sortKey struct {
+	pos  colPos
+	desc bool
+}
+
+// explainPlan is a prepared EXPLAIN: the inner SELECT's plan, rendered
+// instead of run.
+type explainPlan struct{ sel *selectPlan }
+
+// bindTables resolves the FROM/JOIN clauses onto tables.
+func (db *DB) bindTables(s *selectStmt) ([]boundTable, error) {
+	refs := []tableRef{s.From}
+	for _, j := range s.Joins {
+		refs = append(refs, j.Table)
+	}
+	binds := make([]boundTable, 0, len(refs))
+	for _, ref := range refs {
+		tbl, err := db.lookupTable(ref.Table)
+		if err != nil {
+			return nil, err
+		}
+		for _, b := range binds {
+			if b.ref.name() == ref.name() {
+				return nil, fmt.Errorf("sqldb: duplicate table alias %q", ref.name())
+			}
+		}
+		binds = append(binds, boundTable{ref: ref, tbl: tbl})
+	}
+	return binds, nil
+}
+
+// planSelect prepares a parsed SELECT: it resolves tables, columns and
+// join strategies, compiles the WHERE clause, fixes the projection,
+// aggregation and sort positions, and picks a cost-ranked access path
+// for the driving table.
 func (db *DB) planSelect(s *selectStmt) (*selectPlan, error) {
-	bindings, err := db.resolveBindings(s)
+	binds, err := db.bindTables(s)
 	if err != nil {
 		return nil, err
 	}
+	sc := &scope{binds: binds}
 	p := &selectPlan{
-		outerName: bindings[0].ref.name(),
+		binds:     binds,
+		locks:     lockOrder(binds),
+		outerName: binds[0].ref.name(),
 		where:     s.Where,
 		groupBy:   s.GroupBy,
 		orderBy:   s.OrderBy,
 		limit:     s.Limit,
 		offset:    s.Offset,
 	}
-	for _, it := range s.Items {
-		if it.Agg != aggNone {
-			p.hasAgg = true
-			break
-		}
-	}
 	// Resolve join sides: joins[i] extends binding i+1.
 	p.joins = make([]joinStep, len(s.Joins))
 	for i, j := range s.Joins {
-		inner := bindings[i+1]
-		visible := bindings[:i+1]
+		inner := binds[i+1]
+		visible := binds[:i+1]
 		lInner := colBelongsTo(inner, j.LCol)
 		rInner := colBelongsTo(inner, j.RCol)
 		var jp joinPlan
@@ -151,8 +225,238 @@ func (db *DB) planSelect(s *selectStmt) (*selectPlan, error) {
 			innerTable: inner.ref.name(),
 		}
 	}
-	p.outer = db.chooseAccessPath(s, bindings)
+	// Compile the WHERE clause, split into conjuncts applied at the
+	// shallowest join depth possible (predicate pushdown).
+	if p.preds, err = sc.compileWhere(s.Where); err != nil {
+		return nil, err
+	}
+	if err := p.planOutput(s, sc); err != nil {
+		return nil, err
+	}
+	p.args = sc.args
+	p.outer = db.chooseAccessPath(s, binds)
 	p.orderByIndex = p.outer.kind == pathIndexOrder
+	return p, nil
+}
+
+// planOutput resolves the select list into output columns and their
+// sources (projection positions, or the GROUP BY and aggregate list),
+// then the ORDER BY keys. Plain queries may order by any table column,
+// projected or not (ORDER BY i_pub_date DESC with only i_title
+// selected), so those keys sort the combined rows before projection.
+// Aggregated queries, and keys that name no table column (an alias),
+// sort the output columns instead.
+func (p *selectPlan) planOutput(s *selectStmt, sc *scope) error {
+	aggregated := len(s.GroupBy) > 0 || planHasAgg(s)
+	var items []aggItem
+	for _, it := range s.Items {
+		switch {
+		case it.Star:
+			if aggregated {
+				return fmt.Errorf("sqldb: SELECT * cannot be combined with aggregates")
+			}
+			for bi, b := range sc.binds {
+				if it.Table != "" && b.ref.name() != it.Table {
+					continue
+				}
+				for ci, c := range b.tbl.schema.Columns {
+					p.cols = append(p.cols, c.Name)
+					p.proj = append(p.proj, colPos{bi, ci})
+				}
+			}
+		case it.Agg != aggNone:
+			item := aggItem{kind: it.Agg, star: it.AggStar}
+			if !it.AggStar {
+				pos, _, err := sc.resolve(it.AggCol)
+				if err != nil {
+					return err
+				}
+				item.pos = pos
+			}
+			items = append(items, item)
+			p.cols = append(p.cols, aggOutputName(it))
+		default:
+			pos, _, err := sc.resolve(it.Col)
+			if err != nil {
+				return err
+			}
+			items = append(items, aggItem{pos: pos})
+			p.proj = append(p.proj, pos)
+			if it.Alias != "" {
+				p.cols = append(p.cols, it.Alias)
+			} else {
+				p.cols = append(p.cols, it.Col.Column)
+			}
+		}
+	}
+	// Results share the column list; clip it so an append by a caller
+	// copies instead of writing into the plan.
+	p.cols = slices.Clip(p.cols)
+	if aggregated {
+		p.agg = &aggPlan{items: items}
+		p.proj = nil
+		for _, g := range s.GroupBy {
+			pos, _, err := sc.resolve(g)
+			if err != nil {
+				return err
+			}
+			p.agg.group = append(p.agg.group, pos)
+		}
+	}
+	if len(s.OrderBy) == 0 {
+		return nil
+	}
+	if !aggregated {
+		keys := make([]sortKey, 0, len(s.OrderBy))
+		for _, k := range s.OrderBy {
+			pos, _, err := sc.resolve(k.Ref)
+			if err != nil {
+				break // alias; sort after projection
+			}
+			keys = append(keys, sortKey{pos: pos, desc: k.Desc})
+		}
+		if len(keys) == len(s.OrderBy) {
+			p.sortRows = keys
+			return nil
+		}
+	}
+	for _, k := range s.OrderBy {
+		idx := slices.Index(p.cols, k.Ref.Column)
+		if idx < 0 {
+			return fmt.Errorf("sqldb: ORDER BY column %q is not in the result; project it", k.Ref.Column)
+		}
+		p.sortOut = append(p.sortOut, sortKey{pos: colPos{0, idx}, desc: k.Desc})
+	}
+	return nil
+}
+
+func aggOutputName(it selectItem) string {
+	if it.Alias != "" {
+		return it.Alias
+	}
+	var fn string
+	switch it.Agg {
+	case aggCount:
+		fn = "count"
+	case aggSum:
+		fn = "sum"
+	case aggAvg:
+		fn = "avg"
+	case aggMin:
+		fn = "min"
+	case aggMax:
+		fn = "max"
+	}
+	if it.AggStar {
+		return fn
+	}
+	return fn + "_" + it.AggCol.Column
+}
+
+// lockOrder lists the distinct tables among the bindings in name order:
+// a canonical acquisition order prevents deadlock between concurrent
+// multi-table statements.
+func lockOrder(binds []boundTable) []*table {
+	var ts []*table
+	for _, b := range binds {
+		if !slices.Contains(ts, b.tbl) {
+			ts = append(ts, b.tbl)
+		}
+	}
+	sort.Slice(ts, func(i, j int) bool { return ts[i].schema.Table < ts[j].schema.Table })
+	return ts
+}
+
+// rlock read-locks the statement's tables in lock order.
+func (p *selectPlan) rlock() {
+	for _, t := range p.locks {
+		t.lock.RLock()
+	}
+}
+
+// runlock releases rlock's locks in reverse order.
+func (p *selectPlan) runlock() {
+	for i := len(p.locks) - 1; i >= 0; i-- {
+		p.locks[i].lock.RUnlock()
+	}
+}
+
+// insertPlan is the prepared form of an INSERT: the target table and
+// the position of each listed column.
+type insertPlan struct {
+	tbl  *table
+	cols []int
+	vals []operand // literals or placeholders, one per column
+	args argSpec
+}
+
+func (db *DB) planInsert(s *insertStmt) (*insertPlan, error) {
+	tbl, err := db.lookupTable(s.Table)
+	if err != nil {
+		return nil, err
+	}
+	p := &insertPlan{tbl: tbl, cols: make([]int, len(s.Cols)), vals: s.Values}
+	for i, col := range s.Cols {
+		if p.cols[i] = tbl.schema.colIndex(col); p.cols[i] < 0 {
+			return nil, fmt.Errorf("sqldb: table %q has no column %q", s.Table, col)
+		}
+		if op := s.Values[i]; op.IsPlacehold {
+			p.args.n = max(p.args.n, op.Placeholder+1)
+		}
+	}
+	return p, nil
+}
+
+// writePlan is the prepared form of an UPDATE or DELETE: the target
+// table, the cached access path, the compiled WHERE, and for UPDATE the
+// resolved SET list.
+type writePlan struct {
+	tbl   *table
+	binds []boundTable // tbl, as the one table the WHERE resolves against
+	path  accessPath
+	preds []compiledPred
+	set   []setCol // UPDATE only
+	del   bool     // DELETE
+	args  argSpec
+}
+
+// setCol is one resolved SET assignment.
+type setCol struct {
+	ci   int
+	name string
+	val  operandFn
+}
+
+// planWrite prepares an UPDATE (cols/vals are its SET list) or a DELETE.
+// DML read phases use the same access paths and compiled predicates as
+// SELECT, so an index changes how a DML statement finds its rows, never
+// which rows it finds.
+func (db *DB) planWrite(table string, where boolExpr, cols []string, vals []operand, del bool) (*writePlan, error) {
+	tbl, err := db.lookupTable(table)
+	if err != nil {
+		return nil, err
+	}
+	binds := []boundTable{{ref: tableRef{Table: table}, tbl: tbl}}
+	sc := &scope{binds: binds}
+	p := &writePlan{tbl: tbl, binds: binds, del: del}
+	for i, col := range cols {
+		ci := tbl.schema.colIndex(col)
+		if ci < 0 {
+			return nil, fmt.Errorf("sqldb: table %q has no column %q", table, col)
+		}
+		fn, _, err := sc.compileOperand(vals[i])
+		if err != nil {
+			return nil, err
+		}
+		p.set = append(p.set, setCol{ci: ci, name: col, val: fn})
+	}
+	preds, err := sc.compileWhere(where)
+	if err != nil {
+		return nil, err
+	}
+	p.preds = preds[0]
+	p.args = sc.args
+	p.path = db.choosePredPath(where, binds)
 	return p, nil
 }
 
@@ -166,16 +470,16 @@ type sarg struct {
 
 // collectSargs walks AND-connected conjuncts for comparisons between a
 // column of binding bi and a literal or placeholder.
-func collectSargs(e boolExpr, bindings []binding, bi int, out []sarg) []sarg {
+func collectSargs(e boolExpr, binds []boundTable, bi int, out []sarg) []sarg {
 	switch t := e.(type) {
 	case andExpr:
-		out = collectSargs(t.L, bindings, bi, out)
-		return collectSargs(t.R, bindings, bi, out)
+		out = collectSargs(t.L, binds, bi, out)
+		return collectSargs(t.R, binds, bi, out)
 	case cmpExpr:
 		if !t.Rhs.IsLit && !t.Rhs.IsPlacehold {
 			return out
 		}
-		gotBi, _, err := resolveCol(bindings, t.Col)
+		gotBi, _, err := resolveCol(binds, t.Col)
 		if err != nil || gotBi != bi {
 			return out
 		}
@@ -187,16 +491,23 @@ func collectSargs(e boolExpr, bindings []binding, bi int, out []sarg) []sarg {
 	return out
 }
 
+// planRows is the row count the planner prices a table at. A plan is
+// cached and outlives the statistics it was chosen under, so an empty
+// table is priced as holding one row: otherwise a scan of a table that
+// is empty right now (a new shopping cart) costs nothing, beats every
+// index probe, and stays cached while the table grows.
+func planRows(st tableStats) float64 { return float64(max(st.rows, 1)) }
+
 // choosePredPath costs every WHERE-driven access path for the driving
 // table against the full scan and returns the cheapest. Candidates are
 // priced with the same CostModel terms execution charges: scans pay
 // PerRowScanned per slot, index paths pay PerIndexProbe per entry
 // visited — so the planner's preference is exactly the latency the
-// statement would feel. Shared by SELECT planning and DML read phases.
-func (db *DB) choosePredPath(where boolExpr, bindings []binding) accessPath {
-	b := bindings[0]
+// statement would feel. Shared by SELECT and DML planning.
+func (db *DB) choosePredPath(where boolExpr, binds []boundTable) accessPath {
+	b := binds[0]
 	st := b.tbl.stats()
-	rows := float64(st.rows)
+	rows := planRows(st)
 	perScan := float64(db.cost.PerRowScanned)
 	perProbe := float64(db.cost.PerIndexProbe)
 
@@ -212,7 +523,7 @@ func (db *DB) choosePredPath(where boolExpr, bindings []binding) accessPath {
 
 	var sargs []sarg
 	if where != nil {
-		sargs = collectSargs(where, bindings, 0, nil)
+		sargs = collectSargs(where, binds, 0, nil)
 	}
 
 	// Equality candidates: primary key, then secondary indexes.
@@ -291,9 +602,9 @@ func (db *DB) choosePredPath(where boolExpr, bindings []binding) accessPath {
 // chooseAccessPath picks the driving table's access path for a SELECT:
 // the cheapest WHERE-driven path, challenged by the index-order path
 // when the query shape admits one.
-func (db *DB) chooseAccessPath(s *selectStmt, bindings []binding) accessPath {
-	b := bindings[0]
-	best := db.choosePredPath(s.Where, bindings)
+func (db *DB) chooseAccessPath(s *selectStmt, binds []boundTable) accessPath {
+	b := binds[0]
+	best := db.choosePredPath(s.Where, binds)
 
 	// Index-order candidate: a single-key ORDER BY on an ordered-indexed
 	// column of a join-free, aggregate-free SELECT with a LIMIT — the
@@ -302,9 +613,9 @@ func (db *DB) chooseAccessPath(s *selectStmt, bindings []binding) accessPath {
 	if len(s.Joins) == 0 && !planHasAgg(s) && len(s.GroupBy) == 0 &&
 		len(s.OrderBy) == 1 && s.Limit >= 0 {
 		key := s.OrderBy[0]
-		if kbi, _, err := resolveCol(bindings, key.Ref); err == nil && kbi == 0 &&
+		if kbi, _, err := resolveCol(binds, key.Ref); err == nil && kbi == 0 &&
 			b.tbl.hasOrdered(key.Ref.Column) {
-			rows := float64(b.tbl.stats().rows)
+			rows := planRows(b.tbl.stats())
 			visited := float64(s.Limit + s.Offset)
 			if s.Where != nil {
 				// A residual filter delays the early stop; assume it
@@ -395,7 +706,7 @@ func (p *selectPlan) lines() []string {
 	if p.where != nil {
 		out = append(out, fmt.Sprintf("Filter(%s)", renderBool(p.where)))
 	}
-	if p.hasAgg || len(p.groupBy) > 0 {
+	if p.agg != nil {
 		var keys []string
 		for _, g := range p.groupBy {
 			keys = append(keys, g.String())

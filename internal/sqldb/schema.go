@@ -64,6 +64,24 @@ func (t ColumnType) accepts(v Value) bool {
 	}
 }
 
+// numeric reports whether the type holds numbers; compare orders int64
+// and float64 values against each other.
+func (t ColumnType) numeric() bool { return t == Int || t == Float }
+
+// comparable reports whether compare can order v against values of
+// this type: the storable types, plus int64 and float64 for either
+// numeric type. NULL compares with everything.
+func (t ColumnType) comparable(v Value) bool {
+	if t.numeric() {
+		switch v.(type) {
+		case nil, int64, float64:
+			return true
+		}
+		return false
+	}
+	return t.accepts(v)
+}
+
 // Column is one column definition.
 type Column struct {
 	Name string

@@ -49,17 +49,17 @@ func (s *Snapshot) Close() {
 func (s *Snapshot) Query(sql string, args ...any) (*ResultSet, error) {
 	s.db.queries.Inc()
 	s.db.snapshotReads.Inc()
-	st, err := s.db.prepare(sql)
+	p, err := s.db.prepare(sql)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := st.(*selectStmt)
+	sel, ok := p.(*selectPlan)
 	if !ok {
 		return nil, fmt.Errorf("sqldb: Snapshot.Query requires SELECT, got %q", sql)
 	}
-	ec, err := newExecCtx(args)
+	ec, err := newExecCtx(args, &sel.args)
 	if err != nil {
 		return nil, err
 	}
-	return s.db.execSelectAt(sel, ec, s.ts)
+	return s.db.execSelectAt(sel, ec, s.ts), nil
 }

@@ -34,9 +34,15 @@ func newTestDB(t *testing.T) (*DB, *Conn) {
 	})
 	c := db.Connect()
 	t.Cleanup(c.Close)
+	insertBooks(t, c)
+	return db, c
+}
 
-	mustExec(t, c, "INSERT INTO author (a_id, a_name) VALUES (1, 'Knuth')")
-	mustExec(t, c, "INSERT INTO author (a_id, a_name) VALUES (2, 'Pike')")
+// insertBooks loads newTestDB's rows: two authors and four books.
+func insertBooks(tb testing.TB, c *Conn) {
+	tb.Helper()
+	mustExec(tb, c, "INSERT INTO author (a_id, a_name) VALUES (1, 'Knuth')")
+	mustExec(tb, c, "INSERT INTO author (a_id, a_name) VALUES (2, 'Pike')")
 	pub := time.Date(2001, 1, 1, 0, 0, 0, 0, time.UTC)
 	books := []struct {
 		id     int
@@ -52,16 +58,13 @@ func newTestDB(t *testing.T) (*DB, *Conn) {
 		{4, "The Unix Programming Environment", 2, 29.99, 5, 1095},
 	}
 	for _, b := range books {
-		if _, err := c.Exec(
+		mustExec(tb, c,
 			"INSERT INTO book (b_id, b_title, b_a_id, b_price, b_stock, b_pub) VALUES (?, ?, ?, ?, ?, ?)",
-			b.id, b.title, b.author, b.price, b.stock, pub.AddDate(0, 0, b.off)); err != nil {
-			t.Fatal(err)
-		}
+			b.id, b.title, b.author, b.price, b.stock, pub.AddDate(0, 0, b.off))
 	}
-	return db, c
 }
 
-func mustExec(t *testing.T, c *Conn, sql string, args ...any) ExecResult {
+func mustExec(t testing.TB, c *Conn, sql string, args ...any) ExecResult {
 	t.Helper()
 	res, err := c.Exec(sql, args...)
 	if err != nil {
@@ -70,7 +73,7 @@ func mustExec(t *testing.T, c *Conn, sql string, args ...any) ExecResult {
 	return res
 }
 
-func mustQuery(t *testing.T, c *Conn, sql string, args ...any) *ResultSet {
+func mustQuery(t testing.TB, c *Conn, sql string, args ...any) *ResultSet {
 	t.Helper()
 	rs, err := c.Query(sql, args...)
 	if err != nil {

@@ -13,9 +13,9 @@ import (
 // inlined into the text) can no longer grow the cache without bound.
 const defaultStmtCacheSize = 256
 
-// stmtCache is a small LRU over parsed-and-planned statements keyed by
-// SQL text. Every entry records the index epoch its plan was built
-// under; an entry from an older epoch is a miss (and is evicted), so a
+// stmtCache is a small LRU over prepared statements keyed by SQL text.
+// Every entry records the index epoch its plan was built under; an
+// entry from an older epoch is a miss (and is evicted), so a
 // CreateIndex invalidates every cached plan instead of leaving stale
 // full-scan plans resident.
 type stmtCache struct {
@@ -30,7 +30,7 @@ type stmtCache struct {
 
 type stmtCacheEntry struct {
 	sql   string
-	s     stmt
+	p     prepared
 	epoch int64 // index epoch the plan was built under
 }
 
@@ -49,7 +49,7 @@ func newStmtCache(capacity int) *stmtCache {
 // or miss and refreshing recency on a hit. An entry planned under an
 // older epoch is evicted and reported as a miss — the caller reparses
 // and replans.
-func (c *stmtCache) get(sql string, epoch int64) (stmt, bool) {
+func (c *stmtCache) get(sql string, epoch int64) (prepared, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[sql]
@@ -66,25 +66,25 @@ func (c *stmtCache) get(sql string, epoch int64) (stmt, bool) {
 	}
 	c.hits.Inc()
 	c.order.MoveToFront(el)
-	return ent.s, true
+	return ent.p, true
 }
 
-// put inserts a parsed statement planned at epoch, evicting the least
+// put inserts a statement prepared at epoch, evicting the least
 // recently used entry when the cache is full. A concurrent insert of
 // the same SQL (two goroutines parsing the same miss) keeps the newer
 // epoch.
-func (c *stmtCache) put(sql string, s stmt, epoch int64) {
+func (c *stmtCache) put(sql string, p prepared, epoch int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[sql]; ok {
 		ent := el.Value.(*stmtCacheEntry)
 		if epoch > ent.epoch {
-			ent.s, ent.epoch = s, epoch
+			ent.p, ent.epoch = p, epoch
 		}
 		c.order.MoveToFront(el)
 		return
 	}
-	c.m[sql] = c.order.PushFront(&stmtCacheEntry{sql: sql, s: s, epoch: epoch})
+	c.m[sql] = c.order.PushFront(&stmtCacheEntry{sql: sql, p: p, epoch: epoch})
 	if c.order.Len() > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)

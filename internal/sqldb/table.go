@@ -87,9 +87,21 @@ type hashIndex struct {
 	m   map[Value][]int
 }
 
+// hashKey is the bucket key of a value. compare equates int64 and
+// float64 values of the same number, so an integral float64 is keyed as
+// its int64: a FLOAT column may hold either type, and "col = 5.0" must
+// find the rows a scan finds for an INT column.
+func hashKey(v Value) Value {
+	if f, ok := v.(float64); ok && f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64 {
+		return int64(f)
+	}
+	return v
+}
+
 // add registers id under v, copy-on-write. Duplicate ids (a value that
 // flipped away and back across updates) are collapsed.
 func (idx *hashIndex) add(v Value, id int) {
+	v = hashKey(v)
 	old := idx.m[v]
 	for _, got := range old {
 		if got == id {
@@ -177,7 +189,7 @@ func (v tableView) lookupIndex(col string, val Value) (ids []int, visited int, o
 	if hok {
 		// The bucket probe must stay under idxMu: hashIndex.add writes
 		// the same map under the write lock.
-		ids = idx.m[val]
+		ids = idx.m[hashKey(val)]
 	}
 	oidx, ook := t.ordered[col]
 	t.idxMu.RUnlock()
